@@ -1,12 +1,11 @@
-"""Optional compiled kernels for the vector replay engine.
+"""Compiled kernels of the vector replay engine.
 
 The batch replay engine's inner loops — LRU set-associative cache walks
-over per-set tag/dirty/age matrices — are branchy and sequential, which
-caps a pure-Python implementation at a few hundred nanoseconds per
-event.  When a C compiler is available this module builds (once, cached
-under ``.cache/native`` next to the repository sources) a small shared
-library with the two batch kernels and exposes :class:`NativeCache`,
-whose canonical state *is* the NumPy matrices:
+over per-set tag/dirty/age matrices — are branchy and sequential.  When
+a C compiler is available this module builds (once, cached under
+``.cache/native`` next to the repository sources) a small shared
+library with the batch kernels and exposes :class:`NativeCache`, whose
+canonical state *is* the NumPy matrices:
 
 ``tags``
     ``(n_sets, assoc)`` int64, the resident line id per way (-1 empty).
@@ -20,16 +19,17 @@ whose canonical state *is* the NumPy matrices:
 
 The kernels implement bit-for-bit the semantics of
 :class:`repro.arch.cache.SetAssocCache` (hit/miss, LRU victim choice,
-dirty propagation, eviction/writeback counting), so the equivalence
-suite holds regardless of which backend serviced a batch.
+dirty propagation, eviction/writeback counting), which is what the
+scalar-vs-vector equivalence suite checks.
 
-Everything degrades gracefully: if no compiler is present or the build
-fails for any reason, :func:`native_available` returns False and the
-replay engine falls back to the pure-Python
-:class:`repro.arch.vector_cache.VectorCache` backend — but never
-silently: the compiler's stderr is reported once on the process's
-stderr and kept retrievable via :func:`build_error`.  No third-party
-packages are involved — only ``ctypes`` and the system toolchain.
+"Vector engine" means these kernels: if no compiler is present, the
+build fails for any reason, or ``REPRO_NO_NATIVE`` is set,
+:func:`native_available` returns False and
+:class:`repro.arch.hierarchy.MemoryHierarchy` runs the scalar oracle
+instead.  The reason is kept retrievable via :func:`build_error` (the
+compiler's stderr included) and printed once per process with the
+hierarchy's fallback warning.  No third-party packages are involved —
+only ``ctypes`` and the system toolchain.
 
 Builds always use ``-Wall -Wextra`` (the kernels are warning-clean and
 must stay that way).  Setting ``REPRO_NATIVE_SANITIZE=1`` selects a
@@ -50,7 +50,6 @@ import ctypes
 import hashlib
 import os
 import subprocess
-import sys
 import tempfile
 from typing import List, Optional, Tuple
 
@@ -415,9 +414,9 @@ def build_error() -> Optional[str]:
 def load_native() -> Optional[ctypes.CDLL]:
     """Build/load the kernel library; returns None when impossible.
 
-    A failed build or load is reported once on stderr (full compiler
-    diagnostics included) and remembered in :func:`build_error`; the
-    replay engine then falls back to the pure-Python backend.
+    A failed build or load is remembered in :func:`build_error` (full
+    compiler diagnostics included); the hierarchy then runs the scalar
+    oracle and reports the reason once on stderr.
     """
     global _lib, _load_attempted, _build_error
     if _load_attempted:
@@ -429,11 +428,6 @@ def load_native() -> Optional[ctypes.CDLL]:
         _lib = _load()
     except Exception as exc:
         _build_error = str(exc)
-        print(
-            "repro.arch.native: falling back to the pure-Python replay "
-            f"backend: {_build_error}",
-            file=sys.stderr,
-        )
         _lib = None
     return _lib
 
@@ -441,9 +435,9 @@ def load_native() -> Optional[ctypes.CDLL]:
 class NativeCache:
     """Matrix-backed LRU cache serviced by the compiled batch kernels.
 
-    API-compatible with :class:`repro.arch.cache.SetAssocCache` and
-    :class:`repro.arch.vector_cache.VectorCache`; see the module
-    docstring for the state layout.
+    API-compatible with :class:`repro.arch.cache.SetAssocCache`, plus
+    the ``kernel_*`` batch entry points; see the module docstring for
+    the state layout.
     """
 
     def __init__(self, config: CacheConfig, name: str = "ncache"):

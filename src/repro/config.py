@@ -128,8 +128,11 @@ class SystemConfig:
     ``replay_engine`` selects the trace-replay implementation used by
     :class:`repro.arch.hierarchy.MemoryHierarchy`: ``"scalar"`` is the
     original per-event reference loop, ``"vector"`` the batched engine
-    (see ``repro.arch.vector_cache``).  Both produce identical counters;
-    the scalar path is kept as the oracle for the equivalence suite.
+    over the compiled kernels of ``repro.arch.native``.  Both produce
+    identical counters; the scalar path is kept as the oracle for the
+    equivalence suite.  A host without the native kernels runs
+    ``"vector"`` configurations on the scalar oracle (same results and
+    store keys, only slower).
     """
 
     mesh_rows: int = 8

@@ -47,6 +47,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import faults as faults_mod
+from repro.arch.hierarchy import resolve_engine
 from repro.errors import InjectedFault, SweepExecutionError
 from repro.experiments import runner as _runner
 from repro.experiments.store import ResultStore, get_store
@@ -494,6 +495,10 @@ def _run_units_armed(
     exhausted: List[WorkUnit] = []
     chunked = False
     if pending and jobs and jobs > 1:
+        # Resolve the replay engine before the pool forks, so a host
+        # without native kernels prints its one fallback warning here
+        # rather than once per worker.
+        resolve_engine(settings.config.replay_engine)
         # Ship pared-down settings: the calibration cache can hold
         # arbitrarily large state and every worker rebuilds what it
         # needs anyway.  ``cache=False`` must force recomputation in

@@ -14,7 +14,6 @@ microarchitectural state gets flushed at interaction boundaries).
 from __future__ import annotations
 
 import abc
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -137,10 +136,11 @@ class Machine(abc.ABC):
         :class:`~repro.sim.bundle.TraceBundle`\\ s.  Under the scalar
         replay engine (the reference oracle) the interactions replay
         one at a time; under the vector engine the whole run replays
-        through the interaction-batched pipeline.  Both paths consume
-        identical bundle bytes and return bit-identical results
-        (``REPRO_NO_BATCH=1`` forces the per-interaction loop on the
-        vector engine for debugging).
+        through the interaction-batched pipeline.  The hierarchy's
+        resolved engine decides, so a vector configuration on a host
+        without the native kernels runs the scalar loop.  Both paths
+        consume identical bundle bytes and return bit-identical
+        results.
         """
         n = n_interactions if n_interactions is not None else app.n_interactions
         rng = np.random.default_rng(seed)
@@ -154,9 +154,7 @@ class Machine(abc.ABC):
         count = n - start
         b_sec = interaction_bundle(app, "secure", sec_proc, seed, start, count)
         b_ins = interaction_bundle(app, "insecure", ins_proc, seed, start, count)
-        if self.config.replay_engine == "vector" and not os.environ.get(
-            "REPRO_NO_BATCH"
-        ):
+        if self.hier.engine == "vector":
             self._run_batched(
                 app, st, sec_proc, ins_proc, b_sec, b_ins, start, n,
                 bd, sec_stats, ins_stats,

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from repro.config import CacheConfig
 from repro.arch.cache import SetAssocCache
+from repro.arch.native import native_available
 from repro.errors import ConfigError
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="needs native kernels"
+)
 
 
 def make_cache(size=1024, assoc=2, line=64) -> SetAssocCache:
@@ -215,48 +220,51 @@ class TestFillSet:
         assert not cache.contains(primed[0])
         assert cache.contains(primed[1])
 
+    @needs_native
     def test_primed_lines_agree_across_implementations(self):
-        from repro.arch.vector_cache import VectorCache
+        from repro.arch.native import NativeCache
 
         cfg = CacheConfig(4096, 4, 64)
         a = SetAssocCache(cfg, "a")
-        b = VectorCache(cfg, "b")
+        b = NativeCache(cfg, "b")
         assert a.fill_set(5, 11) == b.fill_set(5, 11)
 
 
-class TestVectorCacheParity:
-    """The dict-backed batch cache must mirror the reference model."""
+@needs_native
+class TestNativeCacheParity:
+    """The compiled-kernel cache must mirror the reference model on the
+    scalar entry points the hierarchy and purge paths call directly."""
 
     def test_scalar_access_parity(self):
-        from repro.arch.vector_cache import VectorCache
+        from repro.arch.native import NativeCache
 
         cfg = CacheConfig(1024, 2, 64)
         ref = SetAssocCache(cfg, "ref")
-        vec = VectorCache(cfg, "vec")
+        nat = NativeCache(cfg, "nat")
         import random
 
         rnd = random.Random(7)
         for _ in range(2000):
             line = rnd.randrange(64)
             w = rnd.random() < 0.3
-            assert ref.access(line, w) == vec.access(line, w)
-        assert ref.stats == vec.stats
-        assert ref.dirty_lines == vec.dirty_lines
+            assert ref.access(line, w) == nat.access(line, w)
+        assert ref.stats == nat.stats
+        assert ref.dirty_lines == nat.dirty_lines
         for s in range(ref.n_sets):
-            assert ref._sets[s] == vec.set_entries(s)
+            assert ref._sets[s] == nat.set_entries(s)
 
     def test_maintenance_op_parity(self):
-        from repro.arch.vector_cache import VectorCache
+        from repro.arch.native import NativeCache
 
         cfg = CacheConfig(1024, 2, 64)
         ref = SetAssocCache(cfg, "ref")
-        vec = VectorCache(cfg, "vec")
+        nat = NativeCache(cfg, "nat")
         for line in range(20):
             ref.access(line, line % 2 == 0)
-            vec.access(line, line % 2 == 0)
-        assert ref.clean_all() == vec.clean_all()
-        assert ref.evict_line(4) == vec.evict_line(4)
-        assert ref.evict_line(4) == vec.evict_line(4) is False
-        assert sorted(ref.resident_lines()) == sorted(vec.resident_lines())
-        assert ref.invalidate_all() == vec.invalidate_all()
-        assert ref.stats == vec.stats
+            nat.access(line, line % 2 == 0)
+        assert ref.clean_all() == nat.clean_all()
+        assert ref.evict_line(4) == nat.evict_line(4)
+        assert ref.evict_line(4) == nat.evict_line(4) is False
+        assert sorted(ref.resident_lines()) == sorted(nat.resident_lines())
+        assert ref.invalidate_all() == nat.invalidate_all()
+        assert ref.stats == nat.stats
