@@ -31,8 +31,9 @@ without changing any counter.
 implementations of the event replay:
 
 ``scalar``
-    The reference oracle: one Python-level ``SetAssocCache.access`` call
-    per event, exactly as a hardware walk would order them.
+    The reference oracle: the per-event loop, one Python-level
+    ``SetAssocCache.access`` call per event, exactly as a hardware walk
+    would order them.
 
 ``vector``
     The batched engine over the compiled kernels of
@@ -40,12 +41,19 @@ implementations of the event replay:
     detection and all latency arithmetic are vectorized with NumPy; the
     full event list filters through the L1 in one kernel call, and the
     surviving misses are segmented by home slice and replayed per slice.
-    Both engines produce bit-identical :class:`TraceResult` counters,
-    cache contents and stats; the equivalence suite in
-    ``tests/test_replay_equivalence.py`` enforces this.  To keep the
-    cycle arithmetic independent of summation order, cluster-average hop
-    distances are quantized to 1/64 of a hop, which makes every latency
-    term a dyadic rational that float64 accumulates exactly.
+    A stream of at most :data:`SHORT_EVENTS` events (after run
+    compression) instead runs the same per-event loop as the oracle,
+    over the native caches' scalar ``access``: a batch call's fixed
+    NumPy/ctypes set-up outweighs its kernels there, and the attack
+    harnesses issue tens of thousands of one-address probes.
+
+Both engines produce bit-identical :class:`TraceResult` counters, cache
+contents and stats, on either side of the short-stream split; the
+equivalence suite in ``tests/test_replay_equivalence.py`` enforces
+this.  To keep the cycle arithmetic independent of summation order,
+cluster-average hop distances are quantized to 1/64 of a hop, which
+makes every latency term a dyadic rational that float64 accumulates
+exactly.
 
 The engine is resolved once, in :class:`MemoryHierarchy`'s constructor:
 a ``vector`` configuration on a host without the native kernels (no C
@@ -75,6 +83,17 @@ from repro.config import SystemConfig
 from repro.errors import CacheIsolationViolation, ConfigError
 
 AnyCache = Union[SetAssocCache, NativeCache]
+
+#: Longest event stream (after run compression) that the vector engine
+#: replays through the per-event loop over its native caches instead of
+#: the batch kernels.  Measured on a 2-core Xeon host: a batch call
+#: costs a flat ~80-150 us of NumPy and ctypes set-up, the loop ~9 us
+#: per event, so the loop wins at 1 event (32 vs 77 us), breaks even
+#: near 8 (108 vs 98 us on one page, 141 vs 143 us on three) and loses
+#: at 16 (170 vs 94 us).  It must stay below the 96-line purge-timing
+#: trace, the only batch-kernel caller on the ``attack`` workload of
+#: ``perfbench/``.
+SHORT_EVENTS = 8
 
 #: Whether this process already printed the scalar-fallback warning
 #: (``pop`` alone builds hundreds of hierarchies).
@@ -252,6 +271,7 @@ class MemoryHierarchy:
         )
         self._frames_per_region = frames_per_region
         self._avg_dist_cache: Dict[tuple, list] = {}
+        self._mc_rows_cache: Dict[bool, list] = {}
         # Contexts with L2 replication enabled, tracked (weakly, by
         # identity — ProcessContext is an eq-dataclass and unhashable)
         # so purges and page moves can invalidate replica bookkeeping.
@@ -288,12 +308,12 @@ class MemoryHierarchy:
         """Assign home slices to frames that do not have one yet."""
         table = self.home_table
         if ctx.homing == "hash":
-            n = len(ctx.slices)
-            slice_arr = np.asarray(ctx.slices, dtype=np.int32)
+            slices = ctx.slices
+            n = len(slices)
             for frame in frames:
                 f = int(frame)
                 if table[f] < 0:
-                    table[f] = slice_arr[f % n]
+                    table[f] = slices[f % n]
         elif ctx.homing == "local":
             for frame in frames:
                 f = int(frame)
@@ -421,8 +441,9 @@ class MemoryHierarchy:
 
         ``addrs`` is a 1-D int64 array of byte addresses; ``writes`` an
         optional boolean/int array of the same length (default: reads).
-        The replay implementation is the resolved :attr:`engine`; both
-        engines return identical counters.
+        The replay implementation is the resolved :attr:`engine` (on
+        ``vector``, streams of at most :data:`SHORT_EVENTS` events take
+        the per-event loop); both engines return identical counters.
         """
         result = TraceResult()
         n = len(addrs)
@@ -440,27 +461,37 @@ class MemoryHierarchy:
             writes = writes.astype(np.int8, copy=False)
 
         # Run-length compression: only line-change events are simulated.
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        np.not_equal(vlines[1:], vlines[:-1], out=change[1:])
-        idx = np.flatnonzero(change)
-        ev_vlines = vlines[idx]
-        ev_writes = np.maximum.reduceat(writes, idx)
-        compressed_hits = n - len(idx)  # guaranteed L1 hits inside runs
+        if n == 1:
+            ev_vlines, ev_writes = vlines, writes
+        else:
+            change = np.empty(n, dtype=bool)
+            change[0] = True
+            np.not_equal(vlines[1:], vlines[:-1], out=change[1:])
+            idx = np.flatnonzero(change)
+            ev_vlines = vlines[idx]
+            ev_writes = np.maximum.reduceat(writes, idx)
+        n_events = len(ev_vlines)
+        compressed_hits = n - n_events  # guaranteed L1 hits inside runs
 
-        # Translation (per unique page) and homing.
+        # Translation (per unique page, mapped in ascending page order)
+        # and homing.  A one-page stream -- most attack probes -- skips
+        # np.unique's sort; mapping, homing and the checks are the same.
         ev_vpages = ev_vlines >> self._lp_shift
-        uniq_pages, inverse = np.unique(ev_vpages, return_inverse=True)
-        frames_uniq = ctx.vm.ensure_mapped(uniq_pages)
+        if n_events == 1 or (ev_vpages == ev_vpages[0]).all():
+            frames_uniq = [ctx.vm.translate(int(ev_vpages[0]))]
+            ev_frames = np.full(n_events, frames_uniq[0], dtype=np.int64)
+        else:
+            uniq_pages, inverse = np.unique(ev_vpages, return_inverse=True)
+            frames_uniq = ctx.vm.ensure_mapped(uniq_pages)
+            ev_frames = frames_uniq[inverse]
         self.ensure_homed(frames_uniq, ctx)
         if ctx.enforce:
             self._check_entitlement(frames_uniq, ctx)
-        ev_frames = frames_uniq[inverse]
         ev_plines = ev_frames * self._lines_per_page + (ev_vlines & self._lp_mask)
         ev_homes = self.home_table[ev_frames]
         ev_mcs = self._mc_of_region[ev_frames // self._frames_per_region]
 
-        if self.engine == "vector":
+        if self.engine == "vector" and n_events > SHORT_EVENTS:
             self._replay_vector(
                 ctx, result, ev_vpages, ev_writes, ev_plines, ev_homes, ev_mcs,
                 compressed_hits,
@@ -514,7 +545,9 @@ class MemoryHierarchy:
         return replayer.run_epoch(0, len(segments))
 
     # ------------------------------------------------------------------
-    # Scalar engine (reference oracle)
+    # Per-event loop: the scalar engine's oracle, and the vector
+    # engine's path for streams of at most SHORT_EVENTS events (over
+    # NativeCache/NativeTlb, whose scalar access() it calls the same way)
     # ------------------------------------------------------------------
     def _replay_scalar(
         self,
@@ -554,11 +587,7 @@ class MemoryHierarchy:
         # home slice uses the cluster-average distance, not the (biased)
         # representative core's own position.
         d_core = self._avg_core_distances(tuple(ctx.cores))
-        if ctx.numa_mc:
-            nearest = self.mesh.mc_distances.min(axis=1).tolist()
-            d_mc = [[v] * self.config.mem.n_controllers for v in nearest]
-        else:
-            d_mc = self.mesh.mc_distances.tolist()
+        d_mc = self._mc_distance_rows(ctx.numa_mc)
 
         l1_snap = l1.stats.snapshot()
         l1_hits = compressed_hits
@@ -759,6 +788,23 @@ class MemoryHierarchy:
             cached = (np.round(avg * 64.0) / 64.0).tolist()
             self._avg_dist_cache[cores] = cached
         return cached
+
+    def _mc_distance_rows(self, numa_mc: bool) -> list:
+        """Per-slice hop counts to each controller, as lists (cached).
+
+        With NUMA-aware placement a slice's off-chip traffic leaves via
+        its nearest controller, so every entry of its row is that
+        distance.
+        """
+        rows = self._mc_rows_cache.get(numa_mc)
+        if rows is None:
+            if numa_mc:
+                nearest = self.mesh.mc_distances.min(axis=1).tolist()
+                rows = [[v] * self.config.mem.n_controllers for v in nearest]
+            else:
+                rows = self.mesh.mc_distances.tolist()
+            self._mc_rows_cache[numa_mc] = rows
+        return rows
 
     def _check_entitlement(self, frames: np.ndarray, ctx: ProcessContext) -> None:
         """Strong-isolation checks on newly touched frames."""

@@ -468,10 +468,15 @@ class NativeCache:
             self.age.ctypes.data, self._clock.ctypes.data,
         )
         self._stats_ptr = self._stats_out.ctypes.data
-        # Reusable single-event buffers for the scalar access() path.
+        # Reusable single-event buffers for the scalar access() path,
+        # with their raw addresses cached like the state buffers'.
         self._one_line = np.zeros(1, dtype=np.int64)
         self._one_write = np.zeros(1, dtype=np.int8)
         self._one_out = np.zeros(1, dtype=np.int64)
+        self._one_ptrs = (
+            self._one_line.ctypes.data, self._one_write.ctypes.data,
+            self._one_out.ctypes.data,
+        )
 
     # ------------------------------------------------------------------
     # Batch kernels
@@ -572,10 +577,10 @@ class NativeCache:
     def access(self, line_id: int, is_write: bool) -> bool:
         self._one_line[0] = line_id
         self._one_write[0] = 1 if is_write else 0
+        line_ptr, write_ptr, out_ptr = self._one_ptrs
         n_miss = self._lib.l1_filter(
-            1, self._one_line.ctypes.data, self._one_write.ctypes.data,
-            *self._state_ptrs, self._set_mask, self.assoc,
-            self._one_out.ctypes.data, self._stats_ptr,
+            1, line_ptr, write_ptr, *self._state_ptrs, self._set_mask,
+            self.assoc, out_ptr, self._stats_ptr,
         )
         st = self.stats
         st.hits += 1 - n_miss
@@ -806,6 +811,7 @@ class NativeTlb:
             self._clock.ctypes.data,
         )
         self._one = np.zeros(1, dtype=np.int64)
+        self._one_ptr = self._one.ctypes.data
         self.stats = TlbStats()
 
     def access_batch(self, vpages: np.ndarray) -> int:
@@ -836,7 +842,7 @@ class NativeTlb:
         """Look up a virtual page; returns True on hit."""
         self._one[0] = vpage
         misses = self._lib.tlb_misses(
-            1, self._one.ctypes.data, *self._ptrs, self.config.entries
+            1, self._one_ptr, *self._ptrs, self.config.entries
         )
         self.stats.hits += 1 - misses
         self.stats.misses += misses

@@ -12,7 +12,9 @@ Two kinds of honesty checks:
 * **docs/ integrity** via :func:`run_tiers.check_docs`: every module
   path named in ``docs/architecture.md`` / ``docs/experiments.md`` /
   ``docs/scaling.md`` exists and every internal link in ``docs/*.md``
-  resolves.
+  resolves.  The same phase runs ``examples/*.py`` through
+  :func:`run_tiers.check_examples`; here only its failure reporting is
+  checked, on a throwaway script.
 """
 
 from __future__ import annotations
@@ -117,3 +119,17 @@ def test_docs_check_catches_missing_path(tmp_path):
     )
     failures = run_tiers.check_docs(tmp_path)
     assert len(failures) == 2
+
+
+def test_examples_check_catches_failing_script(tmp_path):
+    """A script exiting non-zero is named with its last stderr line."""
+    run_tiers = _load_run_tiers()
+    examples = tmp_path / "examples"
+    examples.mkdir()
+    (examples / "fine.py").write_text("print('ok')\n", encoding="utf-8")
+    (examples / "broken.py").write_text(
+        "import sys\nsys.exit('broken on purpose')\n", encoding="utf-8"
+    )
+    assert run_tiers.check_examples(tmp_path) == [
+        "examples/broken.py exited 1: broken on purpose"
+    ]

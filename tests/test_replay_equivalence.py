@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 from repro.arch.address import VirtualMemory
-from repro.arch.hierarchy import MemoryHierarchy, ProcessContext
-from repro.arch.native import native_available
+from repro.arch.hierarchy import SHORT_EVENTS, MemoryHierarchy, ProcessContext
+from repro.arch.native import NativeCache, native_available
 from repro.config import SystemConfig
+from repro.errors import CacheIsolationViolation
 from repro.experiments.runner import ExperimentSettings, run_one
 from repro.machines import MACHINES, build_machine
 from repro.workloads import get_app
@@ -44,6 +45,35 @@ def tlb_entries(tlb):
     if hasattr(tlb, "lru_entries"):
         return tlb.lru_entries()
     return [int(p) for p in tlb._entries]
+
+
+def cache_contents(cache):
+    """{set: [tag, dirty] pairs MRU-first} over the non-empty sets."""
+    if isinstance(cache, NativeCache):
+        busy = np.flatnonzero((cache.tag_matrix() != -1).any(axis=1))
+        return {int(s): cache.set_entries(int(s)) for s in busy}
+    return {s: entries for s, entries in enumerate(cache._sets) if entries}
+
+
+def assert_same_hierarchy(a, b):
+    """Every L1, TLB and L2 slice of two hierarchies agrees: contents,
+    LRU order, dirty bits, stats; so do the homes and occupancy."""
+    for kind in ("_l1", "_l2"):
+        caches_a, caches_b = getattr(a, kind), getattr(b, kind)
+        assert set(caches_a) == set(caches_b), kind
+        for key, ca in caches_a.items():
+            cb = caches_b[key]
+            assert ca.stats == cb.stats, ca.name
+            assert (ca.valid_lines, ca.dirty_lines) == (
+                cb.valid_lines, cb.dirty_lines
+            ), ca.name
+            assert cache_contents(ca) == cache_contents(cb), ca.name
+    assert set(a._tlb) == set(b._tlb)
+    for core, ta in a._tlb.items():
+        tb = b._tlb[core]
+        assert ta.stats == tb.stats, ta.name
+        assert tlb_entries(ta) == tlb_entries(tb), ta.name
+    assert np.array_equal(a.home_table, b.home_table)
 
 
 class EnginePair:
@@ -76,20 +106,18 @@ class EnginePair:
 
     def assert_same_state(self):
         (hs, cs), (hv, cv) = self.sides
-        l1s, l1v = hs.l1_for(cs.rep_core), hv.l1_for(cv.rep_core)
-        assert l1s.stats == l1v.stats
-        for s in range(l1s.n_sets):
-            assert set_entries(l1s, s) == set_entries(l1v, s)
-        assert set(hs._l2) == set(hv._l2)
-        for tile in hs._l2:
-            a, b = hs._l2[tile], hv._l2[tile]
-            assert a.stats == b.stats
-            for s in range(a.n_sets):
-                assert set_entries(a, s) == set_entries(b, s)
-        assert tlb_entries(hs.tlb_for(cs.rep_core)) == tlb_entries(
-            hv.tlb_for(cv.rep_core)
-        )
+        assert_same_hierarchy(hs, hv)
+        assert cs.vm.page_table == cv.vm.page_table
+        assert cs._rr_next == cv._rr_next
         assert (cs._replicated or set()) == (cv._replicated or set())
+
+    def run_checked(self, traces):
+        """Replay each trace on both engines, comparing state after each."""
+        results = []
+        for addrs, writes in traces:
+            results.append(self.run(addrs, writes))
+            self.assert_same_state()
+        return results
 
 
 def random_trace(rng, n, span=1 << 19, run_prob=0.5, write_frac=0.4):
@@ -100,13 +128,53 @@ def random_trace(rng, n, span=1 << 19, run_prob=0.5, write_frac=0.4):
     return addrs, writes
 
 
+_CFG = SystemConfig.evaluation()
+_LINES_PER_PAGE = _CFG.page_bytes // _CFG.line_bytes
+
+
+def n_events(addrs):
+    """Events a non-empty trace keeps after run compression."""
+    lines = np.asarray(addrs) // _CFG.line_bytes
+    return 1 + int(np.count_nonzero(lines[1:] != lines[:-1]))
+
+
+def exact_events_trace(rng, events, pages, span=1 << 19, write_frac=0.4):
+    """A trace with exactly ``events`` events after run compression,
+    over ``pages`` consecutive pages at a random spot in ``span``; each
+    event is a run of 1-3 accesses to one line."""
+    first = int(rng.integers(0, max(1, span // _CFG.page_bytes - pages)))
+    lines = []
+    while len(lines) < events:
+        line = first * _LINES_PER_PAGE + int(rng.integers(0, pages * _LINES_PER_PAGE))
+        if not lines or line != lines[-1]:
+            lines.append(line)
+    runs = np.repeat(np.asarray(lines, dtype=np.int64), rng.integers(1, 4, size=events))
+    addrs = runs * _CFG.line_bytes + rng.integers(0, _CFG.line_bytes, size=len(runs))
+    writes = (rng.random(len(runs)) < write_frac).astype(np.int8)
+    assert n_events(addrs) == events
+    return addrs, writes
+
+
+def with_boundary_traces(rng, long_traces, span=1 << 19):
+    """Follow each of ``long_traces`` with short traces on both sides of
+    the vector engine's per-event/batch split: 1, ``SHORT_EVENTS`` and
+    ``SHORT_EVENTS + 1`` events, each on one page and on three."""
+    mixed = []
+    for trace in long_traces:
+        mixed.append(trace)
+        mixed.extend(
+            exact_events_trace(rng, events, pages, span)
+            for events in (1, SHORT_EVENTS, SHORT_EVENTS + 1)
+            for pages in (1, 3)
+        )
+    return mixed
+
+
 class TestTraceEquivalence:
     def test_random_traces(self, rng):
         pair = EnginePair()
-        for _ in range(5):
-            addrs, writes = random_trace(rng, int(rng.integers(1, 4000)))
-            pair.run(addrs, writes)
-            pair.assert_same_state()
+        longs = [random_trace(rng, int(rng.integers(1, 4000))) for _ in range(5)]
+        pair.run_checked(with_boundary_traces(rng, longs))
 
     def test_write_heavy(self, rng):
         pair = EnginePair()
@@ -118,18 +186,21 @@ class TestTraceEquivalence:
     def test_purge_interleaved(self, rng):
         pair = EnginePair()
         for i in range(6):
-            addrs, writes = random_trace(rng, 1500)
-            pair.run(addrs, writes)
+            long_trace, *shorts = with_boundary_traces(rng, [random_trace(rng, 1500)])
+            pair.run_checked([long_trace])
             if i % 2:
                 pair.purge()
                 pair.assert_same_state()
+            pair.run_checked(shorts)
         pair.assert_same_state()
 
     def test_rehoming_interleaved(self, rng):
         pair = EnginePair()
         for i in range(4):
-            addrs, writes = random_trace(rng, 1500, span=1 << 17)
-            pair.run(addrs, writes)
+            long_trace, *shorts = with_boundary_traces(
+                rng, [random_trace(rng, 1500, span=1 << 17)], span=1 << 17
+            )
+            pair.run_checked([long_trace])
             (hs, cs), (hv, cv) = pair.sides
             frames = sorted(cs.vm.page_table.values())[: 2 + i]
             for ctx in (cs, cv):
@@ -137,23 +208,78 @@ class TestTraceEquivalence:
                 ctx._rr_next = 0
             assert hs.rehome_frames(frames, cs) == hv.rehome_frames(frames, cv)
             pair.assert_same_state()
+            pair.run_checked(shorts)
 
     def test_replication_hash_homed(self, rng):
         pair = EnginePair(
             homing="hash", replication=True, slices=list(range(16)),
         )
-        for _ in range(4):
-            addrs, writes = random_trace(rng, 2500, span=1 << 17)
-            res = pair.run(addrs, writes)
-            pair.assert_same_state()
-        assert res.accesses == 2500
+        longs = [random_trace(rng, 2500, span=1 << 17) for _ in range(4)]
+        traces = with_boundary_traces(rng, longs, span=1 << 17)
+        results = pair.run_checked(traces)
+        assert [r.accesses for r in results] == [len(a) for a, _ in traces]
 
     def test_numa_mc(self, rng):
         pair = EnginePair(numa_mc=True, homing="hash", slices=list(range(16)))
-        for _ in range(3):
-            addrs, writes = random_trace(rng, 2000)
-            pair.run(addrs, writes)
-        pair.assert_same_state()
+        longs = [random_trace(rng, 2000) for _ in range(3)]
+        pair.run_checked(with_boundary_traces(rng, longs))
+
+    def test_isolation_violation_parity_on_short_traces(self, rng):
+        """A trace touching a frame homed outside ``ctx.slices`` raises
+        on both engines, on either side of the short-stream split, and
+        leaves identical page tables, homes and caches behind."""
+        pair = EnginePair()
+        page, line = _CFG.page_bytes, _CFG.line_bytes
+        pair.run_checked([(np.arange(4 * _LINES_PER_PAGE, dtype=np.int64) * line, None)])
+        for hier, ctx in pair.sides:
+            hier.home_table[ctx.vm.page_table[2]] = 12  # planted foreign home
+        violating = [
+            np.asarray([2 * page], dtype=np.int64),  # one event
+            np.asarray([2 * page, 2 * page + 5 * line], dtype=np.int64),  # one page
+            # Maps and homes page 9 before the check trips on page 2.
+            np.asarray([9 * page, 9 * page + line, 2 * page], dtype=np.int64),
+            exact_events_trace(rng, SHORT_EVENTS, 1, span=page)[0] + 2 * page,
+            exact_events_trace(rng, SHORT_EVENTS + 1, 1, span=page)[0] + 2 * page,
+        ]
+        for addrs in violating:
+            for hier, ctx in pair.sides:
+                with pytest.raises(CacheIsolationViolation):
+                    hier.run_trace(ctx, addrs)
+            pair.assert_same_state()
+        assert 9 in pair.sides[0][1].vm.page_table
+        # Replay carries on identically over the entitled pages.
+        pair.run_checked(
+            exact_events_trace(rng, events, pages, span=2 * page)
+            for events in (1, SHORT_EVENTS, SHORT_EVENTS + 1)
+            for pages in (1, 2)
+        )
+
+    @pytest.mark.skipif(not native_available(), reason="needs native kernels")
+    def test_short_streams_skip_the_batch_kernels(self, rng, monkeypatch):
+        """On the vector engine a stream of at most ``SHORT_EVENTS``
+        events (after run compression) runs the per-event loop; one
+        event more goes through the batch kernels."""
+        calls = []
+        kernel = NativeCache.kernel_filter_misses
+
+        def recording(self, lines, writes):
+            calls.append(len(lines))
+            return kernel(self, lines, writes)
+
+        monkeypatch.setattr(NativeCache, "kernel_filter_misses", recording)
+        hier = MemoryHierarchy(SystemConfig.evaluation().with_engine("vector"))
+        assert hier.engine == "vector"
+        vm = VirtualMemory("p", hier.address_space, [0, 1])
+        ctx = ProcessContext("p", "secure", vm, cores=[0], slices=[0, 1],
+                             controllers=[0])
+        for events in (1, SHORT_EVENTS):
+            for pages in (1, 3):
+                addrs, writes = exact_events_trace(rng, events, pages)
+                hier.run_trace(ctx, addrs, writes)
+        assert calls == []
+        addrs, writes = exact_events_trace(rng, SHORT_EVENTS + 1, 1)
+        hier.run_trace(ctx, addrs, writes)
+        assert calls == [SHORT_EVENTS + 1]
 
     def test_empty_and_single(self):
         pair = EnginePair()
@@ -511,33 +637,55 @@ class TestMachineEquivalence:
 
 
 class TestAttackEquivalence:
-    """Attack scenario payloads are engine-invariant.
+    """Attack scenarios are engine-invariant, in payload and in state.
 
     The harnesses replay their probe traces through the same hierarchy
     the figures use, so their stored (and golden-pinned) payloads must
     be bit-identical between the scalar oracle and the vector engine —
     a warm figattack cache can then never mask an
     engine divergence (the engine rides in the store key's config
-    hash).
+    hash).  Most probes are one-address traces, which the vector engine
+    replays through the per-event loop over its native caches, so every
+    environment a scenario builds must also end with identical L1s,
+    TLBs, L2 slices, homes and page tables: a payload alone can hide a
+    state divergence that the next probe would have read.
     """
 
     @pytest.mark.parametrize(
         "kind",
         ["prime_probe", "covert", "noc_probe", "spectre", "purge_timing", "noc_covert"],
     )
-    def test_attack_payload_engine_invariant(self, kind):
-        from repro.attacks.environment import ISOLATION_MODELS
+    def test_attack_payload_engine_invariant(self, kind, monkeypatch):
+        from repro.attacks.environment import ISOLATION_MODELS, AttackEnvironment
         from repro.attacks.scenarios import run_attack_scenario
 
+        built = []
+        build = AttackEnvironment.build.__func__
+
+        def recording_build(cls, *args, **kwargs):
+            env = build(cls, *args, **kwargs)
+            built.append(env)
+            return env
+
+        monkeypatch.setattr(AttackEnvironment, "build", classmethod(recording_build))
         base = SystemConfig.evaluation()
         for model in ISOLATION_MODELS:
+            built.clear()
             scalar = run_attack_scenario(
                 kind, model, base.with_engine("scalar"), 1.0, seed=0
             )
+            scalar_envs = list(built)
+            built.clear()
             vector = run_attack_scenario(
                 kind, model, base.with_engine("vector"), 1.0, seed=0
             )
             assert scalar == vector, (kind, model)
+            assert len(scalar_envs) == len(built) >= 1, (kind, model)
+            for es, ev in zip(scalar_envs, built):
+                assert_same_hierarchy(es.hier, ev.hier)
+                for role in ("victim", "attacker"):
+                    cs, cv = getattr(es, role), getattr(ev, role)
+                    assert cs.vm.page_table == cv.vm.page_table, (kind, model, role)
 
 
 class TestMachineFuzzEquivalence:

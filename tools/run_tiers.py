@@ -15,7 +15,8 @@ A ``docs`` phase keeps the prose honest: every repo path named in
 ``docs/architecture.md``, ``docs/experiments.md``, ``docs/scaling.md``,
 ``docs/static-analysis.md`` and ``docs/reliability.md`` must exist and
 every internal link in ``docs/*.md`` must resolve (see
-:func:`check_docs`).
+:func:`check_docs`), and every ``examples/*.py`` script must run to a
+zero exit (see :func:`check_examples`).
 
 A ``scale`` smoke phase runs
 ``python -m repro figscale --quick --jobs 2 --chunk 2 --check-golden``:
@@ -168,13 +169,35 @@ def check_docs(repo: Path = REPO) -> "list[str]":
     return failures
 
 
+def check_examples(repo: Path = REPO) -> "list[str]":
+    """Run every ``examples/*.py`` script; a non-zero exit is a failure.
+
+    Returns human-readable failure strings (empty = pass), each with the
+    script's last stderr line.  The scripts run with their default
+    arguments, as the README shows them.
+    """
+    failures = []
+    for script in sorted((repo / "examples").glob("*.py")):
+        proc = subprocess.run(
+            [sys.executable, str(script)], cwd=repo, env=_phase_env(),
+            capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            last = (proc.stderr.strip().splitlines() or [""])[-1]
+            failures.append(
+                f"examples/{script.name} exited {proc.returncode}: {last}"
+            )
+    return failures
+
+
 def run_docs_phase() -> dict:
     start = time.perf_counter()
-    failures = check_docs()
+    failures = check_docs() + check_examples()
     for failure in failures:
         print(f"DOCS: {failure}", file=sys.stderr)
     if not failures:
-        print("docs OK: architecture map paths exist, internal links resolve")
+        print("docs OK: architecture map paths exist, internal links "
+              "resolve, examples run")
     return {
         "phase": "docs",
         "status": "ok" if not failures else f"FAIL ({len(failures)})",
@@ -183,13 +206,19 @@ def run_docs_phase() -> dict:
     }
 
 
-def run_phase(name: str, argv, extra_env=None) -> dict:
+def _phase_env(extra_env=None) -> dict:
+    """The caller's environment with ``src/`` first on ``PYTHONPATH``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     if extra_env:
         env.update(extra_env)
+    return env
+
+
+def run_phase(name: str, argv, extra_env=None) -> dict:
+    env = _phase_env(extra_env)
     start = time.perf_counter()
     proc = subprocess.run([sys.executable] + argv, cwd=REPO, env=env)
     return {
