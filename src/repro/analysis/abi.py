@@ -15,14 +15,23 @@ module makes the contract static:
     Per exported kernel, the declared ``argtypes`` must match the C
     parameter list position-by-position — pointers map to ``c_void_p``
     (raw ``ndarray.ctypes.data`` addresses), integer scalars to
-    ``c_int64`` — and the ``restype`` must match the C return type.
+    ``c_int64``, ``double`` to ``c_double`` (and ``float`` to
+    ``c_float``); an integer declared for a floating-point parameter,
+    or the reverse, passes garbage bits — and the ``restype`` must
+    match the C return type the same way.
 
 ``abi.stats-layout``
-    The C kernels report per-batch counters through ``stats_out[k]``
-    (and the multi-slice kernel through ``stats4[4p + k]``).  The
-    highest index written in C fixes the buffer contract; the Python
-    side's ``np.zeros(N)`` allocation, every ``_stats_out[k]`` read and
-    the ``stats4`` stride must agree with it.
+    The C kernels report per-batch counters through ``stats_out[k]``.
+    The highest index written in C fixes the buffer contract; the
+    Python side's ``np.zeros(N)`` allocation and every
+    ``_stats_out[k]`` read must agree with it.  Strided buffers — every
+    C subscript of the form ``buf[S * i + k]`` (the multi-slice
+    kernel's ``stats4``, the epoch kernels' per-segment, per-core and
+    per-slice counters and their cache pointer tables) — must use one
+    stride ``S`` with offsets ``k < S`` in C, and every Python
+    allocation ``buf = np.zeros(S * n)``, ``buf.reshape(-1, S)``,
+    ``buf[k::S]`` and ``buf[S * i + k]`` of the same name must use the
+    same ``S`` (and offsets below it).
 
 ``abi.backend-parity``
     Two pairs: the caches `SetAssocCache` (the scalar oracle) and
@@ -69,10 +78,18 @@ _CONTRACT_DUNDERS = {"__contains__", "__len__"}
 _C_COMMENT = re.compile(r"/\*.*?\*/", re.S)
 _C_FUNC = re.compile(
     r"(?P<static>\bstatic\b[^;{]*?)?"
-    r"\b(?P<ret>i64|i8|int64_t|int8_t|void)\s+"
+    r"\b(?P<ret>i64|i8|int64_t|int8_t|double|float|void)\s+"
     r"(?P<name>\w+)\s*\((?P<params>[^)]*)\)\s*\{",
     re.S,
 )
+
+#: C scalar kinds (see :func:`_c_kind`) and the ctypes kinds that
+#: marshal them faithfully.
+_SCALAR_CTYPES = {
+    "scalar": {"scalar:c_int64", "scalar:c_longlong"},
+    "double": {"float:c_double"},
+    "float": {"float:c_float"},
+}
 
 
 @dataclass(frozen=True)
@@ -80,9 +97,21 @@ class CPrototype:
     """One C function's marshalling-relevant shape."""
 
     name: str
-    arg_kinds: Tuple[str, ...]  # "ptr" | "scalar" per parameter
-    ret: str  # "scalar" | "void"
+    # "ptr" | "scalar" (integer) | "double" | "float" per parameter.
+    arg_kinds: Tuple[str, ...]
+    ret: str  # "scalar" | "double" | "float" | "void"
     exported: bool
+
+
+def _c_kind(decl: str) -> str:
+    """Marshalling kind of one C parameter or return type."""
+    if "*" in decl:
+        return "ptr"
+    words = set(re.findall(r"\w+", decl))
+    for kind in ("double", "float", "void"):
+        if kind in words:
+            return kind
+    return "scalar"
 
 
 def parse_c_prototypes(c_source: str) -> Dict[str, CPrototype]:
@@ -93,12 +122,11 @@ def parse_c_prototypes(c_source: str) -> Dict[str, CPrototype]:
         params = m.group("params").strip()
         kinds: List[str] = []
         if params and params != "void":
-            for raw in params.split(","):
-                kinds.append("ptr" if "*" in raw else "scalar")
+            kinds = [_c_kind(raw) for raw in params.split(",")]
         protos[m.group("name")] = CPrototype(
             name=m.group("name"),
             arg_kinds=tuple(kinds),
-            ret="void" if m.group("ret") == "void" else "scalar",
+            ret=_c_kind(m.group("ret")),
             exported=m.group("static") is None,
         )
     return protos
@@ -117,6 +145,8 @@ def _ctype_kind(node: ast.AST, aliases: Dict[str, str]) -> str:
     if short in {"c_int64", "c_int32", "c_int", "c_long", "c_longlong",
                  "c_size_t", "c_int8", "c_uint64"}:
         return "scalar:" + short
+    if short in {"c_double", "c_float", "c_longdouble"}:
+        return "float:" + short
     return "?:" + short
 
 
@@ -242,24 +272,23 @@ def compare_kernel_abi(
             for i, (c_kind, py_kind) in enumerate(
                 zip(proto.arg_kinds, decl.argtypes)
             ):
-                ok = (
-                    (c_kind == "ptr" and py_kind == "ptr")
-                    or (c_kind == "scalar"
-                        and py_kind in {"scalar:c_int64", "scalar:c_longlong"})
+                ok = (c_kind == "ptr" and py_kind == "ptr") or (
+                    py_kind in _SCALAR_CTYPES.get(c_kind, ())
                 )
                 if not ok:
                     findings.append(Finding(
                         "abi.argtype-mismatch", rel, decl.line,
                         f"{name}() argument {i}: C expects {c_kind} but "
-                        f"argtypes declares {py_kind} — pointer/int64 "
-                        "confusion corrupts memory silently",
+                        f"argtypes declares {py_kind} — pointer, integer "
+                        "and floating-point confusion corrupts arguments "
+                        "silently",
                     ))
-        if proto.ret == "scalar" and decl.restype not in {
-            "scalar:c_int64", "scalar:c_longlong"
-        }:
+        if proto.ret in _SCALAR_CTYPES and (
+            decl.restype not in _SCALAR_CTYPES[proto.ret]
+        ):
             findings.append(Finding(
                 "abi.restype-mismatch", rel, decl.line,
-                f"{name}(): C returns i64 but restype is "
+                f"{name}(): C returns {proto.ret} but restype is "
                 f"{decl.restype or 'undeclared (defaults to c_int)'}",
             ))
     for name, decl in sorted(decls.items()):
@@ -279,13 +308,105 @@ def compare_kernel_abi(
 
 
 _STATS_WRITE = re.compile(r"\bstats_out\[(\d+)\]\s*=")
-_STATS4_WRITE = re.compile(r"\bstats4\[(\d+)\s*\*\s*p\s*\+\s*(\d+)\]\s*=")
+_STRIDED = re.compile(r"\b(\w+)\[\s*(\d+)\s*\*\s*\w+\s*(?:\+\s*(\d+)\s*)?\]")
+
+
+def c_strided_buffers(c_source: str) -> Dict[str, Tuple[set, int]]:
+    """``{buffer: (strides, max offset)}`` over every ``buf[S * i + k]``
+    subscript of the C source (reads and writes alike)."""
+    text = _C_COMMENT.sub("", c_source)
+    found: Dict[str, Tuple[set, int]] = {}
+    for m in _STRIDED.finditer(text):
+        strides, max_off = found.get(m.group(1), (set(), 0))
+        strides.add(int(m.group(2)))
+        found[m.group(1)] = (strides, max(max_off, int(m.group(3) or 0)))
+    return found
+
+
+def _int_const(node: Optional[ast.AST]) -> Optional[int]:
+    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        return node.value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        inner = _int_const(node.operand)
+        return None if inner is None else -inner
+    return None
+
+
+def _stride_term(node: ast.AST) -> Optional[Tuple[int, int]]:
+    """``(S, k)`` of an index expression ``S * i + k`` / ``S * i``."""
+    offset = 0
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        offset = _int_const(node.right)
+        if offset is None:
+            return None
+        node = node.left
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        stride = _int_const(node.left)
+        if stride is not None:
+            return stride, offset
+    return None
+
+
+def python_strided_uses(
+    tree: ast.Module, names: set
+) -> List[Tuple[str, int, int, int, str]]:
+    """``(buffer, stride, offset, line, shape)`` for every Python use of a
+    strided buffer name: allocations ``np.zeros/empty/full(S * n)``,
+    ``buf.reshape(-1, S)``, ``buf[k::S]``, ``buf[S * i + k]`` and slice
+    bounds ``buf[S * i : S * i + S]``."""
+    uses: List[Tuple[str, int, int, int, str]] = []
+
+    def owner(node: ast.AST) -> Optional[str]:
+        name = dotted_name(node)
+        if name is None:
+            return None
+        short = name.split(".")[-1]
+        return short if short in names else None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            fn = dotted_name(node.value.func) or ""
+            if fn.split(".")[-1] in {"zeros", "empty", "full"} and node.value.args:
+                term = _stride_term(node.value.args[0])
+                for target in node.targets:
+                    buf = owner(target)
+                    if buf is not None and term is not None:
+                        uses.append((buf, term[0], 0, node.lineno, "allocation"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            buf = owner(node.func.value)
+            args = node.args
+            if len(args) == 1 and isinstance(args[0], ast.Tuple):
+                args = args[0].elts
+            if (buf is not None and node.func.attr == "reshape"
+                    and len(args) == 2 and _int_const(args[1]) is not None):
+                uses.append((buf, _int_const(args[1]), 0, node.lineno, "reshape"))
+        elif isinstance(node, ast.Subscript):
+            buf = owner(node.value)
+            if buf is None:
+                continue
+            idx = node.slice
+            if isinstance(idx, ast.Slice):
+                step = _int_const(idx.step)
+                if step is not None:
+                    start = _int_const(idx.lower) or 0
+                    uses.append((buf, step, start, node.lineno, "slice"))
+                for bound, end in ((idx.lower, 0), (idx.upper, 1)):
+                    term = _stride_term(bound) if bound is not None else None
+                    if term is not None:
+                        # An upper bound may reach the row's end, S * i + S.
+                        uses.append((buf, term[0], term[1] - end,
+                                     node.lineno, "slice"))
+            else:
+                term = _stride_term(idx)
+                if term is not None:
+                    uses.append((buf, term[0], term[1], node.lineno, "subscript"))
+    return uses
 
 
 def compare_stats_layout(
     c_source: str, native_tree: ast.Module, rel: str = _NATIVE_REL
 ) -> List[Finding]:
-    """Check Python's stats buffers against the C ``stats_out`` contract."""
+    """Check Python's counter buffers against the C layout contract."""
     findings: List[Finding] = []
     text = _C_COMMENT.sub("", c_source)
     writes = [int(m.group(1)) for m in _STATS_WRITE.finditer(text)]
@@ -302,8 +423,6 @@ def compare_stats_layout(
     alloc_line = 1
     max_read = -1
     max_read_line = 1
-    stats4_stride_py = None
-    stats4_line = 1
     for node in ast.walk(native_tree):
         if isinstance(node, ast.Assign):
             name = dotted_name(node.targets[0]) if node.targets else None
@@ -326,19 +445,6 @@ def compare_stats_layout(
                     if idx.value > max_read:
                         max_read = idx.value
                         max_read_line = node.lineno
-        if isinstance(node, ast.Call):
-            fn = dotted_name(node.func) or ""
-            if fn.endswith("empty") and node.args:
-                arg = node.args[0]
-                if (
-                    isinstance(arg, ast.BinOp)
-                    and isinstance(arg.op, ast.Mult)
-                    and isinstance(arg.left, ast.Constant)
-                    and isinstance(arg.right, ast.Name)
-                    and arg.right.id == "n_parts"
-                ):
-                    stats4_stride_py = int(arg.left.value)
-                    stats4_line = node.lineno
     if alloc_size is not None and alloc_size != c_size:
         findings.append(Finding(
             "abi.stats-layout", rel, alloc_line,
@@ -351,24 +457,26 @@ def compare_stats_layout(
             f"Python reads _stats_out[{max_read}] but the C kernels only "
             f"write {c_size} slots",
         ))
-    stats4 = [(int(m.group(1)), int(m.group(2)))
-              for m in _STATS4_WRITE.finditer(text)]
-    if stats4:
-        strides = {s for s, _ in stats4}
-        max_off = max(off for _, off in stats4)
+
+    strided = c_strided_buffers(c_source)
+    c_stride: Dict[str, int] = {}
+    for buf, (strides, max_off) in sorted(strided.items()):
         if len(strides) != 1 or max_off >= next(iter(strides)):
             findings.append(Finding(
                 "abi.stats-layout", rel, 1,
-                f"inconsistent stats4 layout in C: strides {sorted(strides)},"
+                f"inconsistent {buf} layout in C: strides {sorted(strides)},"
                 f" max offset {max_off}",
             ))
-        elif stats4_stride_py is not None and (
-            stats4_stride_py != next(iter(strides))
-        ):
+        else:
+            c_stride[buf] = next(iter(strides))
+    for buf, stride, offset, line, shape in python_strided_uses(
+        native_tree, set(c_stride)
+    ):
+        if stride != c_stride[buf] or offset >= stride:
             findings.append(Finding(
-                "abi.stats-layout", rel, stats4_line,
-                f"Python allocates stats4 with stride {stats4_stride_py} "
-                f"but the C kernel writes stride {next(iter(strides))}",
+                "abi.stats-layout", rel, line,
+                f"Python {shape} of {buf} uses stride {stride}, offset "
+                f"{offset} but the C kernels use stride {c_stride[buf]}",
             ))
     return findings
 

@@ -18,6 +18,7 @@ policies restrict that entitlement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
@@ -107,14 +108,12 @@ class VirtualMemory:
         ``vpages`` must be a 1-D array of *unique* virtual page numbers.
         Returns the matching global frame numbers, allocating on demand.
         """
-        missing = [int(p) for p in vpages if int(p) not in self.page_table]
+        pages = np.asarray(vpages).tolist()
+        table = self.page_table
+        missing = list(filterfalse(table.__contains__, pages))
         if missing:
-            frames = self.address_space.alloc(len(missing), self.regions)
-            for vpage, frame in zip(missing, frames):
-                self.page_table[vpage] = frame
-        return np.fromiter(
-            (self.page_table[int(p)] for p in vpages), dtype=np.int64, count=len(vpages)
-        )
+            table.update(zip(missing, self.address_space.alloc(len(missing), self.regions)))
+        return np.fromiter(map(table.__getitem__, pages), dtype=np.int64, count=len(pages))
 
     def translate(self, vpage: int) -> int:
         """Translate a single virtual page, allocating on first touch."""

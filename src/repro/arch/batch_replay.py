@@ -19,18 +19,35 @@ vectorized over the entire schedule:
   every virtual page the allocation priority is ``(segment of first
   touch, page number)``, which is precisely the order the per-call
   loop's sorted-unique translation would have allocated frames in, even
-  when several page tables share DRAM region pools;
+  when several page tables share DRAM region pools.  First touches come
+  from one linear dict pass over the events (no sort over events; only
+  the unique pages are ordered);
 * L2 homing (round-robin cursors advanced in the same first-touch
   order) and entitlement checks.
 
 Execution happens in *epochs* — contiguous segment ranges with no
-intervening purge/flush.  Within an epoch the private L1 and TLB of
-each representative core service one batch kernel call, and each L2
-slice services one call over the merged (cross-context, trace-ordered)
-miss stream, using kernel variants that report per-event writeback and
-miss flags so every counter can be attributed back to its segment (a
-single multi-slice kernel call services every slice's part of the
-sorted stream).
+intervening purge/flush — each replayed by two native passes of
+:class:`~repro.arch.native.EpochKernels`:
+
+1. the *private pass* runs every event through its segment's core TLB
+   (on page changes) and L1, in trace order, and reports the L1-miss
+   positions plus per-segment TLB-miss, L1-miss and L1-writeback counts;
+2. the L2 slices those misses are homed in are created (lazily, as the
+   per-call path would);
+3. the *shared pass* runs the misses through their home slices, still
+   in trace order (so no sort by slice is needed), and accumulates per
+   segment the L2 hits, misses and writebacks, the L2/DRAM cycles and
+   the per-controller DRAM requests.  It also does replica accounting:
+   the first hit on a line outside the context's replica set pays the
+   home round trip and joins the set, later hits pay one hop.  Groups
+   that share a replica set share that sequence in global order.
+
+No NumPy work per event happens in an epoch; what is left in Python is
+per core, per slice and per segment.  The replica sets stay Python
+``set``\\ s (purges, re-homing and the scalar oracle use them): the
+shared pass takes an "already replicated" flag per miss, computed only
+while a set is non-empty, and its new lines are folded back with one
+``set.update`` per set.
 Purge events (MI6's per-crossing flushes) act as epoch barriers: the
 machine replays up to the barrier, applies the purge against the live
 cache state, and continues.  Epochs are chosen maximal — exactly one
@@ -42,10 +59,12 @@ plan.
 The result is bit-identical to calling :meth:`run_trace` once per
 segment in schedule order: identical :class:`TraceResult` counters
 (all cycle terms are dyadic rationals, so summation order cannot change
-``mem_cycles``), identical cache/TLB contents and stats, and identical
-replica bookkeeping.  ``tests/test_replay_equivalence.py`` enforces
-this both at the ``run_trace_batched`` level and over full machine
-runs.
+``mem_cycles``), identical cache/TLB contents and stats, identical
+replica bookkeeping, and the same caches created (an L1/TLB iff its
+core had an event, an L2 slice iff an L1 miss was homed there).
+``tests/test_replay_equivalence.py`` enforces this both at the
+``run_trace_batched`` level and over full machine runs;
+``tests/test_native_kernels.py`` checks the two passes themselves.
 
 Contexts are grouped by replay-relevant key (page table, representative
 core, core/slice sets, homing policy, replication set, NUMA flag), so
@@ -64,7 +83,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arch.hierarchy import MemoryHierarchy, ProcessContext, TraceResult
-from repro.arch.native import multi_slice_flags_wb
+from repro.arch.native import EpochKernels, first_touch
 
 
 @dataclass
@@ -106,81 +125,54 @@ class BatchReplayer:
     # Planning
     # ------------------------------------------------------------------
     def _plan(self) -> None:
-        """Plan the whole schedule once (see the class docstring).
+        """Plan the whole schedule once (see the module docstring).
 
-        Computes, vectorized over all segments: run-length-compressed
-        events, allocation-order-exact translation, homing/entitlement
-        per context group, per-event distance legs, and the per-epoch
-        fixed state (latency constants, group distance tables, replica
-        groupings, per-core event positions) that
-        :meth:`run_epoch` would otherwise rebuild on every call.
+        Computes run-length-compressed events, allocation-order-exact
+        translation, homing/entitlement per context group, and the
+        schedule-wide state of the epoch kernels (per-segment core slot,
+        group and replica set; per-group distance tables; latency
+        constants), so :meth:`run_epoch` only dispatches.
         """
         hier = self.hier
         segs = self.segments
         n_seg = len(segs)
-        self.n_seg = n_seg
 
         lens = np.fromiter((len(s.addrs) for s in segs), dtype=np.int64, count=n_seg)
-        self.seg_lens = lens
+        self._seg_lens = lens.tolist()
         acc_off = np.zeros(n_seg + 1, dtype=np.int64)
         np.cumsum(lens, out=acc_off[1:])
         total = int(acc_off[-1])
 
-        # Context groups (order of first appearance).
+        # Context groups, page tables and representative cores, each
+        # numbered in order of first appearance.
         group_index: Dict[Tuple, int] = {}
         self.group_ctx: List[ProcessContext] = []
+        vm_index: Dict[int, int] = {}
+        vms = []
+        slot_index: Dict[int, int] = {}
         seg_group = np.empty(n_seg, dtype=np.int64)
+        seg_vm = np.empty(n_seg, dtype=np.int64)
+        seg_slot = np.empty(n_seg, dtype=np.int64)
         for k, seg in enumerate(segs):
-            key = _group_key(seg.ctx)
+            ctx = seg.ctx
+            key = _group_key(ctx)
             gi = group_index.get(key)
             if gi is None:
                 gi = len(self.group_ctx)
                 group_index[key] = gi
-                self.group_ctx.append(seg.ctx)
-                if seg.ctx.replication:
-                    hier._replica_refs[id(seg.ctx)] = weakref.ref(seg.ctx)
+                self.group_ctx.append(ctx)
+                if ctx.replication:
+                    hier._replica_refs[id(ctx)] = weakref.ref(ctx)
             seg_group[k] = gi
-        self.seg_group = seg_group
-        self._seg_core_list = [s.ctx.rep_core for s in segs]
-        self.seg_core = np.asarray(self._seg_core_list, dtype=np.int64)
+            vi = vm_index.setdefault(id(ctx.vm), len(vms))
+            if vi == len(vms):
+                vms.append(ctx.vm)
+            seg_vm[k] = vi
+            seg_slot[k] = slot_index.setdefault(ctx.rep_core, len(slot_index))
 
-        # Per-epoch fixed state, hoisted: latency constants, per-group
-        # cluster-average distance tables, the NUMA nearest-controller
-        # table and the replica-set grouping are identical for every
-        # epoch of the schedule, so they are computed once here instead
-        # of on every run_epoch call (MI6 runs two epochs per
-        # interaction — the per-epoch setup is its main fixed cost).
-        cfg = hier.config
-        self._hop2 = 2 * (cfg.noc.hop_latency + cfg.noc.router_latency)
-        self._l2_lat = cfg.l2_slice.hit_latency
-        self._dram_lat = cfg.mem.dram_latency + cfg.mem.mc_service_latency
-        self._walk = cfg.tlb.miss_walk_latency
-        self._n_mc = cfg.mem.n_controllers
-        self._group_dcore = [
-            np.asarray(hier._avg_core_distances(tuple(ctx.cores)))
-            for ctx in self.group_ctx
-        ]
-        self._mc_min = (
-            hier.mesh.mc_distances.min(axis=1)
-            if any(ctx.numa_mc for ctx in self.group_ctx)
-            else None
-        )
-        rep_sets: Dict[int, Tuple[set, List[int]]] = {}
-        for gi, ctx in enumerate(self.group_ctx):
-            if ctx.replication and ctx._replicated is not None:
-                entry = rep_sets.setdefault(
-                    id(ctx._replicated), (ctx._replicated, [])
-                )
-                entry[1].append(gi)
-        self._rep_sets = [
-            (replicated, np.asarray(gis, dtype=np.int64))
-            for replicated, gis in rep_sets.values()
-        ]
-
+        self.seg_ev_start = np.zeros(n_seg + 1, dtype=np.int64)
+        self._kernels: Optional[EpochKernels] = None
         if total == 0:
-            self.ev_seg = np.empty(0, dtype=np.int64)
-            self.seg_ev_start = np.zeros(n_seg + 1, dtype=np.int64)
-            self.compressed = np.zeros(n_seg, dtype=np.int64)
             return
 
         all_addrs = np.concatenate([np.ascontiguousarray(s.addrs, dtype=np.int64)
@@ -197,151 +189,139 @@ class BatchReplayer:
         change = np.empty(total, dtype=bool)
         change[0] = True
         np.not_equal(vlines[1:], vlines[:-1], out=change[1:])
-        starts = acc_off[:-1][lens > 0]
-        change[starts] = True
+        change[acc_off[:-1][lens > 0]] = True
         ev_idx = np.flatnonzero(change)
         n_ev = len(ev_idx)
 
-        ev_seg = np.searchsorted(acc_off, ev_idx, side="right") - 1
-        self.ev_seg = ev_seg
-        self.seg_ev_start = np.searchsorted(ev_seg, np.arange(n_seg + 1))
-        ev_per_seg = self.seg_ev_start[1:] - self.seg_ev_start[:-1]
-        self.compressed = lens - ev_per_seg
+        seg_ev_start = np.searchsorted(ev_idx, acc_off)
+        self.seg_ev_start = seg_ev_start
+        ev_per_seg = np.diff(seg_ev_start)
+        self._ev_per_seg = ev_per_seg.tolist()
+        self._compressed = (lens - ev_per_seg).tolist()
 
         ev_vlines = vlines[ev_idx]
-        self.ev_writes = np.maximum.reduceat(all_writes, ev_idx)
+        ev_writes = np.maximum.reduceat(all_writes, ev_idx)
         ev_vpages = ev_vlines >> hier._lp_shift
-        self.ev_vpages = ev_vpages
 
-        # Page-change events (reset at segment starts, like per-call).
-        pchange = np.empty(n_ev, dtype=bool)
-        pchange[0] = True
-        np.not_equal(ev_vpages[1:], ev_vpages[:-1], out=pchange[1:])
-        seg_first = self.seg_ev_start[:-1][ev_per_seg > 0]
-        pchange[seg_first] = True
-        self.pchange = pchange
+        def seg_of(positions: np.ndarray) -> np.ndarray:
+            return np.searchsorted(seg_ev_start, positions, side="right") - 1
+
+        def touches(evpos: Optional[np.ndarray]) -> Tuple:
+            """First touches of the events at ``evpos`` (None = all):
+            ``(evpos, unique pages, their first events, their first-touch
+            segments, per-event index into the unique pages)``."""
+            uniq, first, inverse = first_touch(
+                ev_vpages if evpos is None else ev_vpages[evpos]
+            )
+            at = first if evpos is None else evpos[first]
+            return evpos, uniq, at, seg_of(at), inverse
 
         # Translation: reproduce the per-call allocation order globally.
-        vm_index: Dict[int, int] = {}
-        vms = []
-        seg_vm = np.empty(n_seg, dtype=np.int64)
-        for k, seg in enumerate(segs):
-            vmid = id(seg.ctx.vm)
-            vi = vm_index.get(vmid)
-            if vi is None:
-                vi = len(vms)
-                vm_index[vmid] = vi
-                vms.append(seg.ctx.vm)
-            seg_vm[k] = vi
-        ev_vm = seg_vm[ev_seg]
-
-        alloc_pages = []
-        alloc_first_seg = []
-        alloc_vm = []
-        per_vm = []  # (vm_idx, evpos, uniq_pages, first_pos, inverse)
-        for vi, vm in enumerate(vms):
-            evpos = np.flatnonzero(ev_vm == vi)
-            if not len(evpos):
+        ev_vm = np.repeat(seg_vm, ev_per_seg) if len(vms) > 1 else None
+        per_vm: Dict[int, Tuple] = {}
+        for vi in range(len(vms)):
+            evpos = None if ev_vm is None else np.flatnonzero(ev_vm == vi)
+            if evpos is not None and not len(evpos):
                 continue
-            pages = ev_vpages[evpos]
-            uniq, first_pos, inverse = np.unique(
-                pages, return_index=True, return_inverse=True
-            )
-            per_vm.append((vi, evpos, uniq, first_pos, inverse))
-            alloc_pages.append(uniq)
-            alloc_first_seg.append(ev_seg[evpos[first_pos]])
-            alloc_vm.append(np.full(len(uniq), vi, dtype=np.int64))
+            per_vm[vi] = touches(evpos)
+        ap = np.concatenate([t[1] for t in per_vm.values()])
+        af = np.concatenate([t[3] for t in per_vm.values()])
+        order = np.lexsort((ap, af))
+        ap, af = ap[order], af[order]
+        # One ensure_mapped call per first-touch segment: the frame
+        # allocator round-robins regions *within* one call, so the
+        # per-call path's batching (each call allocates exactly its own
+        # new pages, sorted) must be reproduced call for call.
+        cuts = [0, *(np.flatnonzero(af[1:] != af[:-1]) + 1).tolist(), len(ap)]
+        seg_vm_l = seg_vm.tolist()
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            vms[seg_vm_l[int(af[a])]].ensure_mapped(ap[a:b])
         ev_frames = np.empty(n_ev, dtype=np.int64)
-        if alloc_pages:
-            ap = np.concatenate(alloc_pages)
-            af = np.concatenate(alloc_first_seg)
-            av = np.concatenate(alloc_vm)
-            order = np.lexsort((ap, af))
-            ap, af, av = ap[order], af[order], av[order]
-            # One ensure_mapped call per first-touch segment: the frame
-            # allocator round-robins regions *within* one call, so the
-            # per-call path's batching (each call allocates exactly its
-            # own new pages, sorted) must be reproduced call for call.
-            run_start = 0
-            for j in range(1, len(ap) + 1):
-                if j == len(ap) or af[j] != af[run_start]:
-                    vms[int(av[run_start])].ensure_mapped(ap[run_start:j])
-                    run_start = j
-            for vi, evpos, uniq, first_pos, inverse in per_vm:
-                pt = vms[vi].page_table
-                frames_uniq = np.fromiter(
-                    (pt[int(p)] for p in uniq), dtype=np.int64, count=len(uniq)
-                )
-                ev_frames[evpos] = frames_uniq[inverse]
-        self.ev_frames = ev_frames
+        for vi, (evpos, uniq, _, _, inverse) in per_vm.items():
+            frames = np.fromiter(
+                map(vms[vi].page_table.__getitem__, uniq.tolist()),
+                dtype=np.int64, count=len(uniq),
+            )[inverse]
+            if evpos is None:
+                ev_frames = frames
+            else:
+                ev_frames[evpos] = frames
 
         # Homing and entitlement per context group, in first-touch order.
-        # A VM used by exactly one group has identical event/unique-page
-        # sets for both passes, so the translation pass's np.unique is
-        # reused instead of recomputed (the two process contexts — the
-        # largest event streams — always qualify).
-        ev_grp = seg_group[ev_seg]
-        self.ev_grp = ev_grp
-        vm_group_count: Dict[int, int] = {}
-        for ctx in self.group_ctx:
-            vi = vm_index[id(ctx.vm)]
-            vm_group_count[vi] = vm_group_count.get(vi, 0) + 1
-        vm_uniques = {vi: (evpos, uniq, first_pos)
-                      for vi, evpos, uniq, first_pos, _ in per_vm}
+        # A VM used by exactly one group has the same events and first
+        # touches in both passes, so the translation pass's are reused
+        # (the two process contexts — the largest event streams —
+        # always qualify).
+        vm_groups = np.bincount(
+            [vm_index[id(ctx.vm)] for ctx in self.group_ctx], minlength=len(vms)
+        )
+        ev_grp = None
         for gi, ctx in enumerate(self.group_ctx):
             vi = vm_index[id(ctx.vm)]
-            if vm_group_count[vi] == 1:
-                if vi not in vm_uniques:
+            if vm_groups[vi] == 1:
+                if vi not in per_vm:
                     continue
-                evpos, uniq, first_pos = vm_uniques[vi]
+                _, uniq, at, first_seg, _ = per_vm[vi]
             else:
+                if ev_grp is None:
+                    ev_grp = np.repeat(seg_group, ev_per_seg)
                 evpos = np.flatnonzero(ev_grp == gi)
                 if not len(evpos):
                     continue
-                pages = ev_vpages[evpos]
-                uniq, first_pos = np.unique(pages, return_index=True)
-            first_seg_g = ev_seg[evpos[first_pos]]
-            order = np.lexsort((uniq, first_seg_g))
-            frames_first = ev_frames[evpos[first_pos]][order]
+                _, uniq, at, first_seg, _ = touches(evpos)
+            frames_first = ev_frames[at[np.lexsort((uniq, first_seg))]]
             hier.ensure_homed(frames_first, ctx)
             if ctx.enforce:
                 hier._check_entitlement(frames_first, ctx)
 
-        self.ev_plines = ev_frames * hier._lines_per_page + (
-            ev_vlines & hier._lp_mask
+        # Schedule-wide kernel state.  Request legs use the group's
+        # cluster-average core distance to the home slice and its
+        # NUMA-nearest or home-bound controller distance, the same
+        # tables the per-call loop reads.
+        cfg = hier.config
+        self._walk = cfg.tlb.miss_walk_latency
+        rep_index: Dict[int, int] = {}
+        rep_sets: List[set] = []
+        group_rep = []
+        for ctx in self.group_ctx:
+            rep = -1
+            if ctx.replication and ctx._replicated is not None:
+                rep = rep_index.setdefault(id(ctx._replicated), len(rep_sets))
+                if rep == len(rep_sets):
+                    rep_sets.append(ctx._replicated)
+            group_rep.append(rep)
+        self._kernels = EpochKernels(
+            seg_bounds=seg_ev_start,
+            seg_slot=seg_slot,
+            seg_group=seg_group,
+            seg_rep=np.asarray(group_rep, dtype=np.int64)[seg_group],
+            lines=ev_frames * hier._lines_per_page + (ev_vlines & hier._lp_mask),
+            writes=ev_writes,
+            pages=ev_vpages,
+            homes=hier.home_table[ev_frames],
+            mcs=hier._mc_of_region[ev_frames // hier._frames_per_region],
+            n_slots=len(slot_index),
+            l1_config=cfg.l1,
+            tlb_entries=cfg.tlb.entries,
+            l2_config=cfg.l2_slice,
+            make_l2=hier.l2_slice,
+            dcore=np.asarray([hier._avg_core_distances(tuple(ctx.cores))
+                              for ctx in self.group_ctx]),
+            dmc=np.asarray([hier._mc_distance_rows(ctx.numa_mc)
+                            for ctx in self.group_ctx]),
+            hop2=2 * (cfg.noc.hop_latency + cfg.noc.router_latency),
+            l2_lat=cfg.l2_slice.hit_latency,
+            dram_lat=cfg.mem.dram_latency + cfg.mem.mc_service_latency,
+            rep_sets=rep_sets,
         )
-        self.ev_homes = hier.home_table[ev_frames]
-        self.ev_mcs = hier._mc_of_region[ev_frames // hier._frames_per_region]
-
-        # Per-event distance legs, resolved once for the whole schedule
-        # (they depend only on the event's context group, home slice and
-        # controller — all fixed at plan time), so run_epoch never loops
-        # over groups: the L2 request leg uses the group's
-        # cluster-average core distance, the DRAM leg the NUMA-nearest
-        # or home-bound controller distance.
-        self.ev_dcore = np.empty(n_ev, dtype=np.float64)
-        self.ev_dmc = np.empty(n_ev, dtype=np.float64)
-        for gi, ctx in enumerate(self.group_ctx):
-            gm = ev_grp == gi
-            if not gm.any():
-                continue
-            self.ev_dcore[gm] = self._group_dcore[gi][self.ev_homes[gm]]
-            if ctx.numa_mc:
-                self.ev_dmc[gm] = self._mc_min[self.ev_homes[gm]]
-            else:
-                self.ev_dmc[gm] = hier.mesh.mc_distances[
-                    self.ev_homes[gm], self.ev_mcs[gm]
-                ]
-
-        # Global per-core event positions: each epoch's share of a
-        # core's events is a contiguous range of this list (events are
-        # position-sorted), found with two searchsorted calls instead
-        # of a boolean scan per epoch.
-        ev_core_all = self.seg_core[ev_seg]
-        self._core_ev_pos = {
-            core: np.flatnonzero(ev_core_all == core)
-            for core in dict.fromkeys(self._seg_core_list)
-        }
+        # Each core's L1 and TLB are created when its first event's
+        # epoch runs, as the per-call path creates them on first use.
+        first_seg: Dict[int, int] = {}
+        for k in np.flatnonzero(ev_per_seg).tolist():
+            first_seg.setdefault(int(seg_slot[k]), k)
+        cores = list(slot_index)
+        self._core_binds = [(k, slot, cores[slot]) for slot, k in first_seg.items()]
+        self._next_bind = 0
 
     # ------------------------------------------------------------------
     # Execution
@@ -353,189 +333,36 @@ class BatchReplayer:
         once; purges/flushes may only happen between epochs.
         """
         hier = self.hier
-        n_out = seg_b - seg_a
-        results = [TraceResult() for _ in range(n_out)]
-        for k in range(n_out):
-            results[k].accesses = int(self.seg_lens[seg_a + k])
-
-        e0 = int(self.seg_ev_start[seg_a])
-        e1 = int(self.seg_ev_start[seg_b])
-        if e0 == e1:
+        results = [TraceResult(accesses=n) for n in self._seg_lens[seg_a:seg_b]]
+        if self.seg_ev_start[seg_a] == self.seg_ev_start[seg_b]:
             return results
 
-        ev_seg = self.ev_seg[e0:e1]
-        ev_rel = ev_seg - seg_a  # 0-based segment ids within the epoch
-        ev_plines = self.ev_plines[e0:e1]
-        ev_writes = self.ev_writes[e0:e1]
-        ev_homes = self.ev_homes[e0:e1]
-        ev_mcs = self.ev_mcs[e0:e1]
-        ev_vpages = self.ev_vpages[e0:e1]
-        pchange = self.pchange[e0:e1]
-        ev_grp = self.ev_grp[e0:e1]
-        ev_dcore = self.ev_dcore[e0:e1]
-        ev_dmc = self.ev_dmc[e0:e1]
+        kernels = self._kernels
+        binds = self._core_binds
+        while self._next_bind < len(binds) and binds[self._next_bind][0] < seg_b:
+            _, slot, core = binds[self._next_bind]
+            kernels.bind_core(slot, hier.l1_for(core), hier.tlb_for(core))
+            self._next_bind += 1
 
-        hop2 = self._hop2
-        l2_lat = self._l2_lat
-        dram_lat = self._dram_lat
+        counters = kernels.run(seg_a, seg_b)
         walk = self._walk
-
-        def bucket(rel_idx, weights=None):
-            """Per-epoch-segment totals of the given event subset."""
-            if weights is None:
-                return np.bincount(rel_idx, minlength=n_out).astype(np.int64)
-            return np.bincount(rel_idx, weights=weights, minlength=n_out)
-
-        tlb_miss_seg = np.zeros(n_out, dtype=np.int64)
-        l1_miss_seg = np.zeros(n_out, dtype=np.int64)
-        l1_wb_seg = np.zeros(n_out, dtype=np.int64)
-
-        # Private L1s and TLBs: one kernel call per representative core;
-        # the core's slice of the epoch is a contiguous range of its
-        # precomputed global event-position list.
-        miss_chunks = []
-        for core in dict.fromkeys(self._seg_core_list[seg_a:seg_b]):
-            pos = self._core_ev_pos[core]
-            pa = int(np.searchsorted(pos, e0))
-            pb = int(np.searchsorted(pos, e1))
-            if pa == pb:
-                continue
-            idx_core = pos[pa:pb] - e0
-
-            tlb = hier.tlb_for(core)
-            pidx = idx_core[pchange[idx_core]]
-            if len(pidx):
-                flags = np.asarray(
-                    tlb.access_batch_flags(ev_vpages[pidx]), dtype=np.int8
-                )
-                tlb_miss_seg += bucket(ev_rel[pidx[flags != 0]])
-
-            l1 = hier.l1_for(core)
-            lines_c = ev_plines[idx_core]
-            writes_c = ev_writes[idx_core]
-            miss_rel, wb_rel = l1.kernel_filter_misses_wb(lines_c, writes_c)
-            miss_rel = np.asarray(miss_rel, dtype=np.intp)
-            wb_rel = np.asarray(wb_rel, dtype=np.intp)
-            l1_miss_seg += bucket(ev_rel[idx_core[miss_rel]])
-            if len(wb_rel):
-                l1_wb_seg += bucket(ev_rel[idx_core[wb_rel]])
-            miss_chunks.append(idx_core[miss_rel])
-
-        l2_hit_seg = np.zeros(n_out, dtype=np.int64)
-        l2_miss_seg = np.zeros(n_out, dtype=np.int64)
-        l2_wb_seg = np.zeros(n_out, dtype=np.int64)
-        mem_seg = walk * tlb_miss_seg.astype(np.float64)
-        mc_req_seg: Dict[int, Dict[int, int]] = {}
-
-        if len(miss_chunks) == 1:
-            miss_idx = miss_chunks[0]  # already ascending
-        elif miss_chunks:
-            miss_idx = np.sort(np.concatenate(miss_chunks))
-        else:
-            miss_idx = np.empty(0, dtype=np.intp)
-
-        if len(miss_idx):
-            lines_m = ev_plines[miss_idx]
-            homes_m = ev_homes[miss_idx]
-            writes_m = ev_writes[miss_idx]
-            rel_m = ev_rel[miss_idx]
-            grp_m = ev_grp[miss_idx]
-            n_miss = len(miss_idx)
-
-            # Each L2 slice replays the merged miss stream in trace order.
-            horder = np.argsort(homes_m, kind="stable")
-            hs = homes_m[horder]
-            segb = np.empty(n_miss, dtype=bool)
-            segb[0] = True
-            np.not_equal(hs[1:], hs[:-1], out=segb[1:])
-            bounds = np.flatnonzero(segb).tolist()
-            bounds.append(n_miss)
-            # One multi-slice kernel call replays every slice's part of
-            # the sorted stream — the per-slice FFI dispatch is the
-            # dominant per-epoch fixed cost on short (MI6-style) epochs.
-            caches = [hier.l2_slice(int(hs[a])) for a in bounds[:-1]]
-            hit_sorted, wb_sorted, _ = multi_slice_flags_wb(
-                caches, bounds, lines_m[horder], writes_m[horder]
-            )
-            if len(wb_sorted):
-                l2_wb_seg += np.bincount(
-                    rel_m[horder[wb_sorted]], minlength=n_out
-                ).astype(np.int64)
-            l2_hit = np.empty(n_miss, dtype=np.int8)
-            l2_hit[horder] = hit_sorted
-            hitmask = l2_hit.astype(bool)
-            l2_hit_seg += np.bincount(rel_m[hitmask], minlength=n_out).astype(np.int64)
-            l2_miss_seg += np.bincount(rel_m[~hitmask], minlength=n_out).astype(np.int64)
-
-            # Request-leg distances were resolved per event at plan time.
-            base_cost = hop2 * ev_dcore[miss_idx] + l2_lat
-
-            hit_cost = base_cost[hitmask]
-            # Replica accounting: groups sharing one replica set are
-            # processed together over the merged hit stream in global
-            # order, so first-touch bookkeeping matches the per-call
-            # sequence exactly (grouping precomputed at plan time).
-            if self._rep_sets and int(hitmask.sum()):
-                hit_grp = grp_m[hitmask]
-                hit_lines = lines_m[hitmask]
-                for replicated, gis in self._rep_sets:
-                    smask = np.isin(hit_grp, gis)
-                    n_sel = int(smask.sum())
-                    if not n_sel:
-                        continue
-                    sel_lines = hit_lines[smask]
-                    uniq, first, inv = np.unique(
-                        sel_lines, return_index=True, return_inverse=True
-                    )
-                    already = np.fromiter(
-                        (int(line) in replicated for line in uniq),
-                        dtype=bool,
-                        count=len(uniq),
-                    )
-                    first_occ = np.zeros(n_sel, dtype=bool)
-                    first_occ[first] = True
-                    pay_full = first_occ & ~already[inv]
-                    sub = hit_cost[smask]
-                    hit_cost[smask] = np.where(
-                        pay_full, sub, float(hop2 + l2_lat)
-                    )
-                    replicated.update(int(line) for line in uniq[~already])
-            mem_seg += np.bincount(rel_m[hitmask], weights=hit_cost, minlength=n_out)
-
-            if int((~hitmask).sum()):
-                missmask = ~hitmask
-                mm_mcs = ev_mcs[miss_idx][missmask]
-                dmc = ev_dmc[miss_idx][missmask]
-                miss_cost = base_cost[missmask] + hop2 * dmc + dram_lat
-                mem_seg += np.bincount(
-                    rel_m[missmask], weights=miss_cost, minlength=n_out
-                )
-
-                n_mc = self._n_mc
-                mckey = rel_m[missmask] * np.int64(n_mc) + mm_mcs
-                kvals, kcounts = np.unique(mckey, return_counts=True)
-                for kv, cnt in zip(kvals.tolist(), kcounts.tolist()):
-                    mc_req_seg.setdefault(kv // n_mc, {})[kv % n_mc] = cnt
-
-        ev_per_seg = (
-            self.seg_ev_start[seg_a + 1 : seg_b + 1]
-            - self.seg_ev_start[seg_a:seg_b]
-        )
-        for k in range(n_out):
-            r = results[k]
-            r.l1_misses = int(l1_miss_seg[k])
-            r.l1_hits = int(
-                ev_per_seg[k] - l1_miss_seg[k] + self.compressed[seg_a + k]
-            )
-            r.l2_hits = int(l2_hit_seg[k])
-            r.l2_misses = int(l2_miss_seg[k])
-            r.tlb_misses = int(tlb_miss_seg[k])
-            r.l1_writebacks = int(l1_wb_seg[k])
-            r.l2_writebacks = int(l2_wb_seg[k])
-            r.mem_cycles = int(mem_seg[k])
-            reqs = mc_req_seg.get(k)
-            if reqs:
-                r.mc_requests = dict(sorted(reqs.items()))
+        controllers = hier.controllers
+        for r, (tlb_miss, l1_miss, l1_wb), (l2_hit, l2_miss, l2_wb), cycles, \
+                mc_row, events, compressed in zip(
+                    results, counters.priv.tolist(), counters.l2.tolist(),
+                    counters.cycles.tolist(), counters.mc.tolist(),
+                    self._ev_per_seg[seg_a:seg_b],
+                    self._compressed[seg_a:seg_b]):
+            r.l1_misses = l1_miss
+            r.l1_hits = events - l1_miss + compressed
+            r.l2_hits = l2_hit
+            r.l2_misses = l2_miss
+            r.tlb_misses = tlb_miss
+            r.l1_writebacks = l1_wb
+            r.l2_writebacks = l2_wb
+            r.mem_cycles = int(walk * tlb_miss + cycles)
+            if l2_miss:
+                r.mc_requests = {mc: n for mc, n in enumerate(mc_row) if n}
                 for mc, n in r.mc_requests.items():
-                    hier.controllers[mc].record_traffic(n, 0)
+                    controllers[mc].record_traffic(n, 0)
         return results

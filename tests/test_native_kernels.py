@@ -1,15 +1,22 @@
 """Unit parity of the compiled replay kernels against the scalar models.
 
 The vector engine *is* the native kernels, so every entry point of
-:class:`~repro.arch.native.NativeCache`, :func:`multi_slice_flags_wb`
-and :class:`~repro.arch.native.NativeTlb` is checked here directly
+:class:`~repro.arch.native.NativeCache`, :func:`multi_slice_flags_wb`,
+:class:`~repro.arch.native.NativeTlb`, the batch replayer's two epoch
+passes (:class:`~repro.arch.native.EpochKernels`) and its first-touch
+pass (:func:`~repro.arch.native.first_touch`) is checked here directly
 against the reference :class:`SetAssocCache` / :class:`Tlb` driven one
-event at a time: per-event hit and writeback positions, stats, the
-incrementally tracked occupancy counters, and the full LRU contents
-with dirty flags.  Each check runs over cache geometries from
-direct-mapped to single-set fully associative (and TLB capacities from
-one entry up), which the hierarchy-level equivalence suite reaches only
-for the two fixed L1/L2 shapes of the evaluation machines.
+event at a time: per-event hit and writeback positions, per-segment
+counters and cycles, stats, the incrementally tracked occupancy
+counters, the full LRU contents with dirty flags, and replica sets.
+Each check runs over cache geometries from direct-mapped to single-set
+fully associative (and TLB capacities from one entry up), which the
+hierarchy-level equivalence suite reaches only for the two fixed L1/L2
+shapes of the evaluation machines.
+
+The module carries the ``equivalence`` marker, so the sanitizer phase
+of ``tools/run_tiers.py`` runs it over the ASan/UBSan-instrumented
+kernels.
 """
 
 from __future__ import annotations
@@ -22,9 +29,10 @@ from repro.arch.native import native_available
 from repro.arch.tlb import Tlb
 from repro.config import CacheConfig, TlbConfig
 
-pytestmark = pytest.mark.skipif(
-    not native_available(), reason="needs native kernels"
-)
+pytestmark = [
+    pytest.mark.skipif(not native_available(), reason="needs native kernels"),
+    pytest.mark.equivalence,
+]
 
 #: (size_bytes, associativity) at 64-byte lines.
 GEOMETRIES = {
@@ -316,3 +324,240 @@ class TestTlbKernels:
             ref.access(p)
         nat.access_batch(pages[:300])
         assert_same_tlb(ref, nat)
+
+
+class TestFirstTouch:
+    @pytest.mark.parametrize("table_size", [None, 1, 2])
+    def test_matches_first_occurrence_order(self, rng, table_size):
+        """Distinct values in first-occurrence order, their first
+        positions and the inverse map; a tiny table grows until the
+        distinct values fit."""
+        from repro.arch.native import first_touch
+
+        pages = rng.integers(0, 300, size=4000, dtype=np.int64)
+        pages[1000:1500] = pages[999]  # runs take the repeat shortcut
+        uniq, first, inverse = first_touch(pages, table_size)
+        want = list(dict.fromkeys(pages.tolist()))
+        assert uniq.tolist() == want
+        assert first.tolist() == [pages.tolist().index(p) for p in want]
+        np.testing.assert_array_equal(uniq[inverse], pages)
+
+    def test_empty_and_negative(self):
+        from repro.arch.native import first_touch
+
+        uniq, first, inverse = first_touch(np.empty(0, dtype=np.int64))
+        assert len(uniq) == len(first) == len(inverse) == 0
+        pages = np.asarray([-3, 5, -3, -3, 7, 5], dtype=np.int64)
+        uniq, first, inverse = first_touch(pages, 1)
+        assert uniq.tolist() == [-3, 5, 7]
+        assert first.tolist() == [0, 1, 4]
+        assert inverse.tolist() == [0, 1, 0, 0, 2, 1]
+
+
+#: Request-leg constants of the epoch parity tests (dyadic, like the
+#: hierarchy's quantized distances).
+HOP2, L2_LAT, DRAM_LAT = 4.0, 11.0, 108.0
+
+
+class EpochScenario:
+    """A random schedule over several cores, slices, context groups and
+    replica sets, replayed through :class:`EpochKernels` epoch by epoch
+    and through the scalar models one event at a time."""
+
+    def __init__(self, rng, config, tlb_config, n_seg=40, n_slots=3,
+                 n_tiles=5, n_groups=3, n_mc=2, line_span=None):
+        from repro.arch.native import EpochKernels, NativeCache
+
+        self.config, self.tlb_config = config, tlb_config
+        line_span = line_span or 6 * config.n_lines
+        lens = rng.integers(0, 120, size=n_seg)
+        lens[rng.random(n_seg) < 0.2] = 0  # zero-event segments
+        self.bounds = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+        n = int(self.bounds[-1])
+        self.slot = rng.integers(0, n_slots, size=n_seg)
+        self.group = rng.integers(0, n_groups, size=n_seg)
+        # Groups 0 and 1 share replica set 0, group 2 has set 1, and a
+        # quarter of the segments do not replicate at all.
+        self.rep = np.where(self.group < 2, 0, 1)
+        self.rep[rng.random(n_seg) < 0.25] = -1
+        self.lines = rng.integers(0, line_span, size=n).astype(np.int64)
+        repeat = rng.random(n) < 0.3
+        self.lines[1:][repeat[1:]] = self.lines[:-1][repeat[1:]]
+        self.writes = (rng.random(n) < 0.5).astype(np.int8)
+        self.pages = self.lines // 4 + rng.integers(0, 2, size=n)
+        # Slices beyond the first two only appear late in the schedule.
+        self.homes = rng.integers(0, 2, size=n).astype(np.int32)
+        late = np.arange(n) > n // 2
+        self.homes[late] = rng.integers(0, n_tiles, size=int(late.sum()))
+        self.mcs = rng.integers(0, n_mc, size=n).astype(np.int32)
+        self.dcore = rng.integers(0, 64 * 6, size=(n_groups, n_tiles)) / 64.0
+        self.dmc = rng.integers(0, 64 * 6, size=(n_groups, n_tiles, n_mc)) / 64.0
+        # Non-empty replica sets at the first epoch's start, holding
+        # lines the schedule will hit.
+        start = [set(self.lines[::7].tolist()[:40]), set()]
+        self.ref_sets = [set(s) for s in start]
+        self.nat_sets = [set(s) for s in start]
+
+        self.ref_l1 = [SetAssocCache(config, f"L1[{i}]") for i in range(n_slots)]
+        self.ref_tlb = [Tlb(tlb_config, f"TLB[{i}]") for i in range(n_slots)]
+        self.ref_l2 = {}
+        self.nat_l2 = {}
+        self.nat_private = []
+
+        def make_l2(tile):
+            assert tile not in self.nat_l2, "slice created twice"
+            self.nat_l2[tile] = NativeCache(config, f"L2[{tile}]")
+            return self.nat_l2[tile]
+
+        self.kernels = EpochKernels(
+            seg_bounds=self.bounds, seg_slot=self.slot, seg_group=self.group,
+            seg_rep=self.rep, lines=self.lines, writes=self.writes,
+            pages=self.pages, homes=self.homes, mcs=self.mcs,
+            n_slots=n_slots, l1_config=config, tlb_entries=tlb_config.entries,
+            l2_config=config, make_l2=make_l2, dcore=self.dcore,
+            dmc=self.dmc, hop2=HOP2, l2_lat=L2_LAT, dram_lat=DRAM_LAT,
+            rep_sets=self.nat_sets,
+        )
+        self.bound = set()
+
+    def reference(self, seg_a, seg_b):
+        """Per-segment counters of the scalar models, one event at a time.
+
+        Returns them with the number of lines the epoch adds to the
+        replica sets.
+        """
+        n_mc = self.dmc.shape[2]
+        priv, l2, cycles, mc = [], [], [], []
+        new_lines = 0
+        for s in range(seg_a, seg_b):
+            slot, g, rep = int(self.slot[s]), int(self.group[s]), int(self.rep[s])
+            l1, tlb = self.ref_l1[slot], self.ref_tlb[slot]
+            c_priv, c_l2, c_cyc, c_mc = [0, 0, 0], [0, 0, 0], 0.0, [0] * n_mc
+            a, b = int(self.bounds[s]), int(self.bounds[s + 1])
+            for k in range(a, b):
+                line, w = int(self.lines[k]), bool(self.writes[k])
+                if k == a or self.pages[k] != self.pages[k - 1]:
+                    c_priv[0] += not tlb.access(int(self.pages[k]))
+                wb = l1.stats.writebacks
+                hit = l1.access(line, w)
+                c_priv[2] += l1.stats.writebacks - wb
+                if hit:
+                    continue
+                c_priv[1] += 1
+                home = int(self.homes[k])
+                cache = self.ref_l2.setdefault(home, SetAssocCache(self.config))
+                wb = cache.stats.writebacks
+                hit = cache.access(line, w)
+                c_l2[2] += cache.stats.writebacks - wb
+                base = HOP2 * self.dcore[g, home] + L2_LAT
+                if hit:
+                    c_l2[0] += 1
+                    if rep >= 0 and line in self.ref_sets[rep]:
+                        c_cyc += HOP2 + L2_LAT
+                    else:
+                        if rep >= 0:
+                            self.ref_sets[rep].add(line)
+                            new_lines += 1
+                        c_cyc += base
+                else:
+                    c_l2[1] += 1
+                    m = int(self.mcs[k])
+                    c_cyc += base + HOP2 * self.dmc[g, home, m] + DRAM_LAT
+                    c_mc[m] += 1
+            priv.append(c_priv)
+            l2.append(c_l2)
+            cycles.append(c_cyc)
+            mc.append(c_mc)
+        return (priv, l2, cycles, mc), new_lines
+
+    def run(self, seg_a, seg_b, table_size=None):
+        from repro.arch.native import NativeCache, NativeTlb
+
+        for s in range(seg_a, seg_b):
+            slot = int(self.slot[s])
+            if self.bounds[s + 1] > self.bounds[s] and slot not in self.bound:
+                self.bound.add(slot)
+                l1 = NativeCache(self.config, f"L1[{slot}]")
+                tlb = NativeTlb(self.tlb_config, f"TLB[{slot}]")
+                self.nat_private.append((slot, l1, tlb))
+                self.kernels.bind_core(slot, l1, tlb)
+        return self.kernels.run(seg_a, seg_b, table_size)
+
+    def check(self, got, want):
+        priv, l2, cycles, mc = want
+        assert got.priv.tolist() == priv
+        assert got.l2.tolist() == l2
+        assert got.cycles.tolist() == cycles
+        assert got.mc.tolist() == mc
+        assert self.nat_sets == self.ref_sets
+        # An L2 slice exists iff an L1 miss was homed there.
+        assert set(self.nat_l2) == set(self.ref_l2)
+        for tile, cache in self.nat_l2.items():
+            assert_same_cache(self.ref_l2[tile], cache)
+        for slot, l1, tlb in self.nat_private:
+            assert_same_cache(self.ref_l1[slot], l1)
+            assert_same_tlb(self.ref_tlb[slot], tlb)
+        used = {int(self.slot[s]) for s in range(len(self.slot))
+                if self.bounds[s + 1] > self.bounds[s]}
+        assert {slot for slot, _, _ in self.nat_private} <= used
+
+
+def epoch_cuts(rng, n_seg, pieces=5):
+    cuts = np.sort(rng.choice(np.arange(1, n_seg), size=pieces - 1, replace=False))
+    bounds = [0, *cuts.tolist(), n_seg]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+class TestEpochKernels:
+    def test_epochs_match_scalar_models(self, geometry, tlb_config, rng):
+        """Several cores and slices interleaved, zero-event segments,
+        non-empty replica sets at the start, two sets in one epoch."""
+        sc = EpochScenario(rng, geometry, tlb_config)
+        for seg_a, seg_b in epoch_cuts(rng, len(sc.slot)):
+            want, _ = sc.reference(seg_a, seg_b)
+            sc.check(sc.run(seg_a, seg_b), want)
+
+    def test_minimum_replica_table(self, geometry, rng):
+        """A table just larger than the epoch's new replica lines forces
+        probe collisions and still dedupes exactly; one slot fewer is
+        refused."""
+        sc = EpochScenario(rng, geometry, TlbConfig(entries=8),
+                           line_span=2 * geometry.n_lines + 8)
+        for seg_a, seg_b in epoch_cuts(rng, len(sc.slot), pieces=3):
+            want, new_lines = sc.reference(seg_a, seg_b)
+            size = 1 << new_lines.bit_length()
+            sc.check(sc.run(seg_a, seg_b, table_size=size), want)
+
+    def test_too_small_replica_table_refused(self, rng):
+        config = CacheConfig(1024, 2, 64)
+        sc = EpochScenario(rng, config, TlbConfig(entries=8),
+                           line_span=2 * config.n_lines)
+        _, new_lines = sc.reference(0, len(sc.slot))
+        assert new_lines >= 2
+        with pytest.raises(ValueError, match="replica table"):
+            sc.run(0, len(sc.slot), table_size=1 << (new_lines.bit_length() - 1))
+
+    def test_empty_epochs(self, rng):
+        """Epochs of zero-event segments touch nothing and count zeros."""
+        from repro.arch.native import EpochKernels
+
+        config = CacheConfig(1024, 2, 64)
+        created = []
+        kernels = EpochKernels(
+            seg_bounds=np.zeros(4, dtype=np.int64),
+            seg_slot=np.zeros(3, dtype=np.int64),
+            seg_group=np.zeros(3, dtype=np.int64),
+            seg_rep=np.zeros(3, dtype=np.int64),
+            lines=np.empty(0, dtype=np.int64), writes=np.empty(0, dtype=np.int8),
+            pages=np.empty(0, dtype=np.int64), homes=np.empty(0, dtype=np.int32),
+            mcs=np.empty(0, dtype=np.int32), n_slots=1, l1_config=config,
+            tlb_entries=4, l2_config=config, make_l2=created.append,
+            dcore=np.zeros((1, 2)), dmc=np.zeros((1, 2, 2)),
+            hop2=HOP2, l2_lat=L2_LAT, dram_lat=DRAM_LAT, rep_sets=[{5}],
+        )
+        got = kernels.run(0, 3)
+        assert got.priv.tolist() == [[0, 0, 0]] * 3
+        assert got.l2.tolist() == [[0, 0, 0]] * 3
+        assert got.cycles.tolist() == [0.0] * 3
+        assert got.mc.tolist() == [[0, 0]] * 3
+        assert created == []

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.arch.address import VirtualMemory
+from repro.arch.batch_replay import BatchReplayer, Segment
 from repro.arch.hierarchy import SHORT_EVENTS, MemoryHierarchy, ProcessContext
 from repro.arch.native import NativeCache, native_available
 from repro.config import SystemConfig
@@ -55,9 +56,10 @@ def cache_contents(cache):
     return {s: entries for s, entries in enumerate(cache._sets) if entries}
 
 
-def assert_same_hierarchy(a, b):
+def assert_same_hierarchy(a, b, homes=True):
     """Every L1, TLB and L2 slice of two hierarchies agrees: contents,
-    LRU order, dirty bits, stats; so do the homes and occupancy."""
+    LRU order, dirty bits, stats; so do the occupancy and (unless
+    ``homes`` is False) the homes."""
     for kind in ("_l1", "_l2"):
         caches_a, caches_b = getattr(a, kind), getattr(b, kind)
         assert set(caches_a) == set(caches_b), kind
@@ -73,7 +75,8 @@ def assert_same_hierarchy(a, b):
         tb = b._tlb[core]
         assert ta.stats == tb.stats, ta.name
         assert tlb_entries(ta) == tlb_entries(tb), ta.name
-    assert np.array_equal(a.home_table, b.home_table)
+    if homes:
+        assert np.array_equal(a.home_table, b.home_table)
 
 
 class EnginePair:
@@ -118,6 +121,21 @@ class EnginePair:
             results.append(self.run(addrs, writes))
             self.assert_same_state()
         return results
+
+
+def schedule(ctx, addrs, writes, bounds):
+    """One :class:`Segment` per adjacent pair of ``bounds``."""
+    return [Segment(ctx, addrs[a:b], writes[a:b])
+            for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def replay_in_epochs(hier, segments, cuts):
+    """Replay ``segments`` as the epochs between successive ``cuts``."""
+    replayer = BatchReplayer(hier, segments)
+    results = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        results.extend(replayer.run_epoch(a, b))
+    return results
 
 
 def random_trace(rng, n, span=1 << 19, run_prob=0.5, write_frac=0.4):
@@ -389,18 +407,108 @@ class TestBatchedReplayEquivalence:
         pair.assert_same_state()
 
     def test_replicated_segments(self, rng):
+        """The second batch starts with a non-empty replica set; the
+        third replays the same schedule split into several epochs."""
         pair = EnginePair(homing="hash", replication=True, slices=list(range(16)))
         (hs, cs), (hv, cv) = pair.sides
-        for _ in range(2):
+        for trial in range(3):
             addrs, writes = random_trace(rng, 3000, span=1 << 16)
-            bounds = [0, 900, 1800, 3000]
+            bounds = [0, 900, 900, 1800, 3000]
             per = [
                 hs.run_trace(cs, addrs[a:b], writes[a:b])
                 for a, b in zip(bounds[:-1], bounds[1:])
             ]
-            bat = hv.run_trace_batched(cv, addrs, writes, bounds)
+            if trial:
+                assert cv._replicated
+            if trial < 2:
+                bat = hv.run_trace_batched(cv, addrs, writes, bounds)
+            else:
+                bat = replay_in_epochs(
+                    hv, schedule(cv, addrs, writes, bounds), [0, 1, 2, 4]
+                )
             assert per == bat
             pair.assert_same_state()
+
+    def test_epochs_create_caches_lazily(self, rng):
+        """A second context — its own core, page table and slices — first
+        appears mid-schedule, after empty segments and an all-empty
+        epoch.  Its L1, TLB and L2 slices come into being exactly when
+        the per-call loop creates them, and every epoch leaves the same
+        state behind."""
+        pair = EnginePair()
+        others = []
+        for hier, ctx in pair.sides:
+            vm = VirtualMemory("q", hier.address_space, [2, 3])
+            others.append(ProcessContext(
+                "q", "insecure", vm, cores=[40, 41], slices=list(range(40, 48)),
+                controllers=[2, 3], enforce=False, replication=True,
+            ))
+        traces = [random_trace(rng, int(n), span=1 << 17)
+                  for n in (1500, 0, 0, 0, 1200, 900, 0, 2000)]
+        owners = [0, 0, 1, 0, 0, 1, 1, 1]
+        epochs = [0, 2, 4, 5, 6, 8]
+        (hs, cs), (hv, cv) = pair.sides
+        per = []
+        for (addrs, writes), who in zip(traces, owners):
+            per.append(hs.run_trace((cs, others[0])[who], addrs, writes))
+        segments = [Segment((cv, others[1])[who], addrs, writes)
+                    for (addrs, writes), who in zip(traces, owners)]
+        replayer = BatchReplayer(hv, segments)
+        # Replay the scalar side epoch by epoch too, so the caches can be
+        # compared at every epoch boundary (the plan translates and homes
+        # the whole schedule up front, so page tables and homes are
+        # compared at the end).
+        pair_s = EnginePair()
+        (hs2, cs2), _ = pair_s.sides
+        other_s = ProcessContext(
+            "q", "insecure", VirtualMemory("q", hs2.address_space, [2, 3]),
+            cores=[40, 41], slices=list(range(40, 48)), controllers=[2, 3],
+            enforce=False, replication=True,
+        )
+        bat = []
+        for a, b in zip(epochs[:-1], epochs[1:]):
+            for k in range(a, b):
+                addrs, writes = traces[k]
+                hs2.run_trace((cs2, other_s)[owners[k]], addrs, writes)
+            bat.extend(replayer.run_epoch(a, b))
+            assert_same_hierarchy(hs2, hv, homes=False)
+            assert other_s._replicated == others[1]._replicated
+        assert 40 in hv._l1 and 40 in hv._tlb
+        assert set(hv._l2) & set(range(40, 48))
+        assert per == bat
+        pair.assert_same_state()
+        assert others[0].vm.page_table == others[1].vm.page_table
+        assert others[0]._replicated == others[1]._replicated
+
+    @pytest.mark.skipif(not native_available(), reason="needs native kernels")
+    def test_epochs_skip_the_batch_kernels(self, rng, monkeypatch):
+        """An epoch is the two epoch passes alone: no per-core L1 or TLB
+        batch call and no multi-slice L2 call."""
+        from repro.arch import batch_replay, native
+
+        calls = []
+
+        def recorder(name):
+            def record(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"run_epoch called {name}")
+            return record
+
+        for cls, attr in ((NativeCache, "kernel_filter_misses_wb"),
+                          (native.NativeTlb, "access_batch_flags")):
+            monkeypatch.setattr(cls, attr, recorder(attr))
+        for module in (native, batch_replay):
+            monkeypatch.setattr(module, "multi_slice_flags_wb",
+                                recorder("multi_slice_flags_wb"), raising=False)
+        pair = EnginePair(homing="hash", replication=True, slices=list(range(16)))
+        (hs, cs), (hv, cv) = pair.sides
+        addrs, writes = random_trace(rng, 4000, span=1 << 17)
+        bounds = [0, 1000, 1000, 2500, 4000]
+        per = [hs.run_trace(cs, addrs[a:b], writes[a:b])
+               for a, b in zip(bounds[:-1], bounds[1:])]
+        assert hv.run_trace_batched(cv, addrs, writes, bounds) == per
+        assert calls == []
+        pair.assert_same_state()
 
 
 class TestCalibrationEquivalence:

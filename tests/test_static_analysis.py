@@ -377,6 +377,125 @@ class TestKernelAbi:
         messages = " ".join(f.message for f in layout)
         assert "allocates 2 slots" in messages
 
+    @staticmethod
+    def _float_native(c_proto: str, argtypes: str, restype: str) -> SourceFile:
+        return SourceFile.from_text("src/repro/arch/native.py", snippet(
+            f'''
+            import ctypes
+
+            _C_SOURCE = """
+            typedef long long i64;
+            {c_proto} {{
+                stats_out[0] = 1;
+                return 0;
+            }}
+            """
+
+
+            def _load(path):
+                lib = ctypes.CDLL(path)
+                ptr = ctypes.c_void_p
+                i64 = ctypes.c_int64
+                f64 = ctypes.c_double
+                lib.cost.argtypes = [{argtypes}]
+                lib.cost.restype = {restype}
+                return lib
+            '''
+        ))
+
+    def test_float_and_integer_scalars_distinguished(self):
+        """``double`` must map to ``c_double`` and integers to
+        ``c_int64``, in arguments and return types alike."""
+        ctx = RepoContext(REPO, [])
+        proto = "i64 cost(i64 n, double hop, i64 *stats_out)"
+        clean = self._float_native(proto, "i64, f64, ptr", "i64")
+        assert abi.check_kernel_abi(ctx, native_src=clean) == []
+        for argtypes in ("i64, i64, ptr", "f64, f64, ptr", "i64, ctypes.c_float, ptr"):
+            src = self._float_native(proto, argtypes, "i64")
+            findings = abi.check_kernel_abi(ctx, native_src=src)
+            assert rules(findings) == {"abi.argtype-mismatch"}, argtypes
+        ret = "double cost(i64 n, double hop, i64 *stats_out)"
+        assert abi.check_kernel_abi(
+            ctx, native_src=self._float_native(ret, "i64, f64, ptr", "f64")
+        ) == []
+        findings = abi.check_kernel_abi(
+            ctx, native_src=self._float_native(ret, "i64, f64, ptr", "i64")
+        )
+        assert rules(findings) == {"abi.restype-mismatch"}
+        findings = abi.check_kernel_abi(
+            ctx, native_src=self._float_native(proto, "i64, f64, ptr", "f64")
+        )
+        assert rules(findings) == {"abi.restype-mismatch"}
+
+    @staticmethod
+    def _strided_native(c_body: str, py_body: str) -> SourceFile:
+        return SourceFile.from_text("src/repro/arch/native.py", snippet(
+            f'''
+            import ctypes
+            import numpy as np
+
+            _C_SOURCE = """
+            typedef long long i64;
+            i64 tally(i64 n, const i64 *ptrs, i64 *seg_out, i64 *stats_out) {{
+                stats_out[0] = n;
+                {c_body}
+                return 0;
+            }}
+            """
+
+
+            def _load(path):
+                lib = ctypes.CDLL(path)
+                ptr = ctypes.c_void_p
+                i64 = ctypes.c_int64
+                lib.tally.argtypes = [i64, ptr, ptr, ptr]
+                lib.tally.restype = i64
+                return lib
+
+
+            def run(n, slot, row):
+                {py_body}
+            '''
+        ))
+
+    def test_strided_buffer_layout_checked(self):
+        """Every strided C buffer's stride fixes its Python allocations,
+        reshapes, strided slices and row subscripts, both ways."""
+        ctx = RepoContext(REPO, [])
+        c_ok = ("for (i64 s = 0; s < n; s++) { seg_out[3 * s + 0] = s; "
+                "seg_out[3 * s + 2] += ptrs[4 * s + 3]; }")
+        py_ok = ("seg_out = np.zeros(3 * n, dtype=np.int64); "
+                 "ptrs = np.zeros(4 * n, dtype=np.int64); "
+                 "ptrs[4 * slot : 4 * slot + 4] = row; "
+                 "return seg_out.reshape(-1, 3), seg_out[2::3], seg_out[3 * slot + 1]")
+        clean = self._strided_native(c_ok, py_ok)
+        assert abi.check_kernel_abi(ctx, native_src=clean) == []
+        broken_python = {
+            "allocation": py_ok.replace("np.zeros(3 * n", "np.zeros(4 * n"),
+            "reshape": py_ok.replace("reshape(-1, 3)", "reshape(-1, 4)"),
+            "slice": py_ok.replace("seg_out[2::3]", "seg_out[3::3]"),
+            "subscript": py_ok.replace("seg_out[3 * slot + 1]", "seg_out[4 * slot + 1]"),
+            "row slice": py_ok.replace("4 * slot + 4]", "4 * slot + 5]"),
+            "table allocation": py_ok.replace("np.zeros(4 * n", "np.zeros(3 * n"),
+        }
+        for shape, py_body in broken_python.items():
+            findings = abi.check_kernel_abi(
+                ctx, native_src=self._strided_native(c_ok, py_body)
+            )
+            layout = [f for f in findings if f.rule == "abi.stats-layout"]
+            assert layout, shape
+            assert rules(findings) == {"abi.stats-layout"}, shape
+        broken_c = {
+            "two strides": c_ok.replace("seg_out[3 * s + 0]", "seg_out[4 * s + 0]"),
+            "offset past stride": c_ok.replace("seg_out[3 * s + 2]", "seg_out[3 * s + 3]"),
+        }
+        for what, c_body in broken_c.items():
+            findings = abi.check_kernel_abi(
+                ctx, native_src=self._strided_native(c_body, py_ok)
+            )
+            assert "abi.stats-layout" in rules(findings), what
+            assert any("seg_out" in f.message for f in findings), what
+
     def test_backend_parity_detects_renamed_param(self):
         ref = abi.class_signatures(
             ast.parse(
